@@ -34,11 +34,12 @@ from .evaluation import (
     DetectionReport,
     DistanceFn,
     TimingRow,
-    benchmark,
+    distance_table,
     is_applicable,
     load_corpus,
     load_rules,
     score,
+    timing_rows,
     timing_summary,
     write_applicability_csv,
     write_detection_csv,
@@ -256,17 +257,19 @@ def evaluate_rule(
 
     The verdict is None when the rule cannot be checked on this corpus.
     Detection is scored only for applicable rules, mirroring how usable
-    rules are the ones carried forward to a detection corpus.
+    rules are the ones carried forward to a detection corpus. All three
+    are derived from one distance table, so each distance is computed once.
     """
     dist = build_distance(config)
     scoped = dataset.without(rule.name) if config.exclude_self else dataset
-    timings = benchmark([rule], scoped, dist, config.algorithm)
+    table = distance_table(rule, scoped, dist)
+    timings = timing_rows(rule, scoped, table, config.algorithm)
     try:
-        verdict = is_applicable(rule, scoped, dist)
+        verdict = is_applicable(rule, scoped, table)
     except InsufficientDataError as exc:
         logger.warning("rule %r not checked: %s", rule.name, exc)
         return None, None, timings
-    report = score(rule, scoped, dist) if verdict.applicable else None
+    report = score(rule, scoped, table) if verdict.applicable else None
     return verdict, report, timings
 
 

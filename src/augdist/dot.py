@@ -10,6 +10,7 @@ attributes are ignored. Subgraphs and ports are outside the schema.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import DotSyntaxError, SchemaError
@@ -20,6 +21,8 @@ _PART_FIX = "fix"
 _TRANSFORM = "transform"
 
 _ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
+# A negative DOT numeral; unsigned ones are already runs of id characters.
+_NEGATIVE_NUMERAL = re.compile(r"-(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
 
 
 @dataclass
@@ -70,6 +73,11 @@ def _tokenize(text: str) -> list[_Token]:
         if text.startswith("->", i):
             tokens.append(_Token("->", "->", i))
             i += 2
+            continue
+        numeral = _NEGATIVE_NUMERAL.match(text, i) if ch == "-" else None
+        if numeral:
+            tokens.append(_Token("id", numeral.group(), i))
+            i = numeral.end()
             continue
         if ch in "{}[]=,;":
             tokens.append(_Token(ch, ch, i))

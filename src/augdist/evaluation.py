@@ -1,11 +1,14 @@
 """Experimental harness: rule applicability, misuse detection, timing.
 
-A correction rule is checked against a corpus split into correct usages and
-misuses by comparing mean distances (four strict inequalities must all
-hold), applied as a detector entry by entry (an entry is flagged when it
-lies strictly closer to the rule's misuse side than to its fix side), and
-timed per four-distance group. Pairs the distance function cannot handle
-shrink the respective denominators instead of poisoning the means.
+Each rule is evaluated from one distance table: both rule sides against
+every corpus entry, each distance computed once per rule and timed on its
+own. The three reports are derived from that table. A rule is applicable
+when four strict inequalities between its mean distances hold; as a
+detector it flags an entry that lies strictly closer to the misuse side
+than to the fix side; and each positional (correct, misuse) pair of entries
+gets one timing row, the sum of its four cells' seconds. Pairs the distance
+function cannot handle shrink the respective denominators instead of
+poisoning the means.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .errors import (
     AugDistError,
     CorpusLayoutError,
     DegenerateStructureError,
-    EmptyGraphError,
     GedTimeoutError,
     InsufficientDataError,
 )
@@ -39,6 +41,8 @@ _INCOMPUTABLE = (DegenerateStructureError, GedTimeoutError)
 
 LABEL_CORRECT = "correct"
 LABEL_MISUSE = "misuse"
+SIDE_FIX = "fix"
+SIDE_MISUSE = "misuse"
 
 
 @dataclass(frozen=True)
@@ -68,25 +72,6 @@ class Dataset:
             tuple(g for g in self.correct if g.name != name),
             tuple(g for g in self.misuse if g.name != name),
         )
-
-
-@dataclass(frozen=True)
-class DistanceQuadruple:
-    """The four rule-vs-entry distances plus their combined wall-clock time.
-
-    All four values are None when any of the computations failed; such
-    quadruples are excluded downstream.
-    """
-
-    fix_to_correct: float | None
-    fix_to_misuse: float | None
-    misuse_to_correct: float | None
-    misuse_to_misuse: float | None
-    elapsed: float
-
-    @property
-    def incomputable(self) -> bool:
-        return self.fix_to_correct is None
 
 
 @dataclass(frozen=True)
@@ -139,58 +124,64 @@ class TimingRow(NamedTuple):
     elapsed_seconds: float
 
 
-def quadruple(
-    rule: CorrectionRule, correct: AUG, misuse: AUG, dist: DistanceFn
-) -> DistanceQuadruple:
-    """Compute the four rule-vs-entry distances and time them as one unit."""
-    for graph in (rule.fix, rule.misuse, correct, misuse):
-        if graph.is_empty:
-            raise EmptyGraphError(f"entry {graph.name!r} has no nodes")
-    start = time.perf_counter()
-    try:
-        values = (
-            dist(rule.fix, correct),
-            dist(rule.fix, misuse),
-            dist(rule.misuse, correct),
-            dist(rule.misuse, misuse),
-        )
-    except _INCOMPUTABLE as exc:
-        elapsed = time.perf_counter() - start
-        logger.debug("quadruple for rule %r incomputable: %s", rule.name, exc)
-        return DistanceQuadruple(None, None, None, None, elapsed)
-    elapsed = time.perf_counter() - start
-    return DistanceQuadruple(*values, elapsed)
+class Cell(NamedTuple):
+    """One rule-side-vs-entry distance (None if incomputable) and its time."""
+
+    value: float | None
+    seconds: float
 
 
-def _mean_over(
-    reference: AUG, entries: Iterable[AUG], dist: DistanceFn, context: str
-) -> float:
-    values = []
+# Keyed by (side, entry name) with side SIDE_FIX or SIDE_MISUSE: the role,
+# not the side graph's name, which both sides of a rule may share.
+DistanceTable = dict[tuple[str, str], Cell]
+
+
+def distance_table(
+    rule: CorrectionRule, dataset: Dataset, dist: DistanceFn
+) -> DistanceTable:
+    """Compute and time each rule side against each entry, once."""
+    sides = ((SIDE_FIX, rule.fix), (SIDE_MISUSE, rule.misuse))
+    entries = (*dataset.correct, *dataset.misuse)
+    for graph in (rule.fix, rule.misuse, *entries):
+        graph.require_non_empty()
+    table: DistanceTable = {}
     for entry in entries:
-        try:
-            values.append(dist(reference, entry))
-        except _INCOMPUTABLE as exc:
-            logger.debug("%s vs %r incomputable: %s", context, entry.name, exc)
-    if not values:
+        for side, reference in sides:
+            start = time.perf_counter()
+            try:
+                value: float | None = dist(reference, entry)
+            except _INCOMPUTABLE as exc:
+                logger.debug(
+                    "%s/%s vs %r incomputable: %s", rule.name, side, entry.name, exc
+                )
+                value = None
+            table[(side, entry.name)] = Cell(value, time.perf_counter() - start)
+    return table
+
+
+def _mean(table: DistanceTable, side: str, entries: Iterable[AUG], context: str) -> float:
+    values = [table[(side, entry.name)].value for entry in entries]
+    computable = [value for value in values if value is not None]
+    if not computable:
         raise InsufficientDataError(f"no computable entries for {context}")
-    return sum(values) / len(values)
+    return sum(computable) / len(computable)
 
 
 def is_applicable(
-    rule: CorrectionRule, dataset: Dataset, dist: DistanceFn
+    rule: CorrectionRule, dataset: Dataset, table: DistanceTable
 ) -> ApplicabilityVerdict:
     """Evaluate the four strict mean-distance inequalities for one rule."""
     if not dataset.correct or not dataset.misuse:
         raise InsufficientDataError(
             f"rule {rule.name!r} needs both correct and misuse entries"
         )
-    mean_fc = _mean_over(rule.fix, dataset.correct, dist, f"{rule.name}/fix-vs-correct")
-    mean_fm = _mean_over(rule.fix, dataset.misuse, dist, f"{rule.name}/fix-vs-misuse")
-    mean_mc = _mean_over(
-        rule.misuse, dataset.correct, dist, f"{rule.name}/misuse-vs-correct"
+    mean_fc = _mean(table, SIDE_FIX, dataset.correct, f"{rule.name}/fix-vs-correct")
+    mean_fm = _mean(table, SIDE_FIX, dataset.misuse, f"{rule.name}/fix-vs-misuse")
+    mean_mc = _mean(
+        table, SIDE_MISUSE, dataset.correct, f"{rule.name}/misuse-vs-correct"
     )
-    mean_mm = _mean_over(
-        rule.misuse, dataset.misuse, dist, f"{rule.name}/misuse-vs-misuse"
+    mean_mm = _mean(
+        table, SIDE_MISUSE, dataset.misuse, f"{rule.name}/misuse-vs-misuse"
     )
     return ApplicabilityVerdict(
         rule_id=rule.name,
@@ -205,27 +196,23 @@ def is_applicable(
     )
 
 
-def detect(rule: CorrectionRule, entry: AUG, dist: DistanceFn) -> bool:
-    """Flag an entry as misuse when it is strictly closer to the misuse side.
+def score(
+    rule: CorrectionRule, dataset: Dataset, table: DistanceTable
+) -> DetectionReport:
+    """Use the rule as a detector over a labeled corpus and tally the counts.
 
-    Ties are conservatively treated as no detection. Incomputable distances
-    propagate so callers can count skipped entries.
+    An entry is flagged when it is strictly closer to the misuse side; ties
+    are conservatively not flagged. An entry with an incomputable distance
+    to either side is counted as skipped.
     """
-    entry.require_non_empty()
-    return dist(rule.fix, entry) > dist(rule.misuse, entry)
-
-
-def score(rule: CorrectionRule, dataset: Dataset, dist: DistanceFn) -> DetectionReport:
-    """Run the detector over a labeled corpus and tally the confusion counts."""
     tp = fp = tn = fn = skipped = 0
     for entry, label in dataset.labeled():
-        try:
-            flagged = detect(rule, entry, dist)
-        except _INCOMPUTABLE as exc:
-            logger.debug("detection on %r skipped: %s", entry.name, exc)
+        to_fix = table[(SIDE_FIX, entry.name)].value
+        to_misuse = table[(SIDE_MISUSE, entry.name)].value
+        if to_fix is None or to_misuse is None:
             skipped += 1
             continue
-        if flagged:
+        if to_fix > to_misuse:
             if label == LABEL_MISUSE:
                 tp += 1
             else:
@@ -238,24 +225,23 @@ def score(rule: CorrectionRule, dataset: Dataset, dist: DistanceFn) -> Detection
     return DetectionReport(rule.name, tp=tp, fp=fp, tn=tn, fn=fn, skipped=skipped)
 
 
-def benchmark(
-    rules: Iterable[CorrectionRule],
-    dataset: Dataset,
-    dist: DistanceFn,
-    algo: str,
+def timing_rows(
+    rule: CorrectionRule, dataset: Dataset, table: DistanceTable, algo: str
 ) -> list[TimingRow]:
-    """Elapsed wall-clock time of every four-distance group.
+    """Elapsed seconds of every four-distance group: the sum of its cells.
 
     Correct and misuse entries are paired positionally (the corpus shape
     where each incident contributes one of each); the shorter partition
-    bounds the number of groups per rule.
+    bounds the number of groups.
     """
-    rows: list[TimingRow] = []
-    pairs = list(zip(dataset.correct, dataset.misuse))
-    for rule in rules:
-        for correct, misuse in pairs:
-            result = quadruple(rule, correct, misuse, dist)
-            rows.append(TimingRow(algo, rule.name, result.elapsed))
+    rows = []
+    for pair in zip(dataset.correct, dataset.misuse):
+        seconds = sum(
+            table[(side, entry.name)].seconds
+            for side in (SIDE_FIX, SIDE_MISUSE)
+            for entry in pair
+        )
+        rows.append(TimingRow(algo, rule.name, seconds))
     return rows
 
 

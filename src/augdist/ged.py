@@ -229,26 +229,9 @@ class _MappingSearch:
         key = (rest_a, rest_b)
         cached = self.pair_cache.get(key)
         if cached is None:
-            cached = self._match_labels(rest_a, rest_b)
+            cached = _match_with_ops(self.cm, rest_a, rest_b)[0]
             self.pair_cache[key] = cached
         return cached
-
-    def _match_labels(self, rest_a: tuple[str, ...], rest_b: tuple[str, ...]) -> float:
-        if not rest_a:
-            return self.cm.edge_insert * len(rest_b)
-        if not rest_b:
-            return self.cm.edge_delete * len(rest_a)
-        head, tail = rest_a[0], rest_a[1:]
-        best = self.cm.edge_delete + self._match_labels(tail, rest_b)
-        for pick in range(len(rest_b)):
-            if pick and rest_b[pick] == rest_b[pick - 1]:
-                continue
-            candidate = self.cm.edge_substitute(head, rest_b[pick]) + self._match_labels(
-                tail, rest_b[:pick] + rest_b[pick + 1 :]
-            )
-            if candidate < best:
-                best = candidate
-        return best
 
     def _substitute_delta(self, i: int, k: int, depth: int) -> float:
         delta = self.sub[i][k]

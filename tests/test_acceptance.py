@@ -22,7 +22,7 @@ from augdist import (
     ged_hungarian,
 )
 from augdist.cli import main
-from augdist.evaluation import Dataset, score
+from augdist.evaluation import Dataset, distance_table, score
 from augdist.ged import default_cost_model, normalization_denominator
 from augdist.mcs import mcs_assignment
 from gen import random_aug, random_aug_pairs
@@ -168,8 +168,12 @@ def test_criterion_07_detection_report_algebra():
         aug("misuse_side", [("n", "A", "data", "")]),
         aug("fix_side", [("n", "B", "data", "")]),
     )
-    first = score(checking_rule, corpus(3, 2, 377, 111), stub_dist)
-    second = score(checking_rule, corpus(20, 94, 285, 94), stub_dist)
+
+    def scored(dataset):
+        return score(checking_rule, dataset, distance_table(checking_rule, dataset, stub_dist))
+
+    first = scored(corpus(3, 2, 377, 111))
+    second = scored(corpus(20, 94, 285, 94))
     ok = (first.tp, first.fp, first.tn, first.fn) == (3, 2, 377, 111)
     ok &= f"{first.precision * 100:.2f}" == "60.00"
     ok &= f"{first.recall * 100:.2f}" == "2.63"

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from augdist import parse_aug, parse_rule
+import augdist.cli as cli
+from augdist import load_corpus, load_rules, parse_aug, parse_rule
 from augdist.cli import ALGORITHMS, EXIT_INCOMPUTABLE, EXIT_PARSE, RunConfig, build_distance, main
 from augdist.ged import default_cost_model
 from oracles import brute_force_node_ged, oracle_exas_l1
@@ -275,6 +276,32 @@ class TestCmdEvaluate:
         # with the self entry excluded, the fix-vs-correct mean loses its
         # zero-distance member and grows
         assert float(row_excl[1]) > float(row_incl[1])
+
+
+class TestEvaluateRule:
+    def test_each_cell_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_build(config):
+            real = build_distance(config)
+
+            def dist(a, b):
+                calls.append((id(a), b.name))
+                return real(a, b)
+
+            return dist
+
+        monkeypatch.setattr(cli, "build_distance", counting_build)
+        dataset = load_corpus(CORPUS)
+        rule = next(r for r in load_rules(CORPUS / "rules") if r.name == "rule_iter")
+        verdict, report, timings = cli.evaluate_rule(
+            rule, dataset, RunConfig(algorithm="hungarian-ged")
+        )
+        assert verdict is not None and verdict.applicable and report is not None
+        assert timings
+        scoped = dataset.without(rule.name)
+        assert len(calls) == 2 * (len(scoped.correct) + len(scoped.misuse))
+        assert len(set(calls)) == len(calls)
 
 
 class TestCmdFeatures:

@@ -129,11 +129,19 @@ class TestParseAug:
             "digraph { } trailing",
             "digraph { subgraph cluster { } }",
             'digraph { a [label="unterminated]; }',
+            "digraph { n [label=-, type=data]; }",
+            "digraph { a - b; }",
         ],
     )
     def test_malformed_input_raises_syntax_error(self, text):
         with pytest.raises(DotSyntaxError):
             parse_aug(text)
+
+    @pytest.mark.parametrize("numeral", ["-1", "-.5", "-2.5"])
+    def test_negative_numeral_is_a_label(self, numeral):
+        g = parse_aug(f"digraph g {{ n [label={numeral}, type=data]; }}")
+        assert g.nodes[0].label == numeral
+        assert parse_aug(serialize_aug(g)) == g
 
     def test_comments_skipped(self):
         g = parse_aug(

@@ -8,12 +8,11 @@ from augdist import (
     DegenerateStructureError,
     EmptyGraphError,
     InsufficientDataError,
-    benchmark,
-    detect,
+    distance_table,
     dist_ged_hungarian,
     is_applicable,
-    quadruple,
     score,
+    timing_rows,
     timing_summary,
 )
 from augdist.ged import default_cost_model
@@ -54,6 +53,18 @@ def _renamed(graph: AUG, name: str) -> AUG:
     return AUG(name, graph.nodes, graph.edges)
 
 
+def _verdict(dataset, dist):
+    return is_applicable(RULE, dataset, distance_table(RULE, dataset, dist))
+
+
+def _score(checked_rule, dataset, dist):
+    return score(checked_rule, dataset, distance_table(checked_rule, dataset, dist))
+
+
+def _timing_rows(dataset, dist, algo):
+    return timing_rows(RULE, dataset, distance_table(RULE, dataset, dist), algo)
+
+
 class TestDataset:
     def test_duplicate_names_rejected(self):
         g = aug("same", [("n", "A", "data", "")])
@@ -71,25 +82,37 @@ class TestDataset:
 
 
 class TestQuadruple:
+    """The four table cells one (correct, misuse) pair of entries reads."""
+
     def test_self_comparison_gives_zero_distances(self):
-        result = quadruple(RULE, FIX, MISUSE, dist_ged_hungarian)
-        assert result.fix_to_correct == 0.0
-        assert result.misuse_to_misuse == 0.0
-        assert result.fix_to_misuse > 0.0
-        assert result.elapsed >= 0.0
-        assert not result.incomputable
+        table = distance_table(RULE, Dataset((FIX,), (MISUSE,)), dist_ged_hungarian)
+        assert table[("fix", "fixg")].value == 0.0
+        assert table[("misuse", "misg")].value == 0.0
+        assert table[("fix", "misg")].value > 0.0
+        assert len(table) == 4
+        assert all(cell.value is not None for cell in table.values())
+        assert all(cell.seconds >= 0.0 for cell in table.values())
 
     def test_incomputable_marker(self):
         def failing(a, b):
             raise DegenerateStructureError("collapsed")
 
-        result = quadruple(RULE, FIX, MISUSE, failing)
-        assert result.incomputable
-        assert result.fix_to_correct is None
+        table = distance_table(RULE, Dataset((FIX,), (MISUSE,)), failing)
+        assert len(table) == 4
+        assert all(cell.value is None for cell in table.values())
 
     def test_empty_entry_rejected_with_name(self):
+        dataset = Dataset((AUG("hollow", (), ()),), (MISUSE,))
         with pytest.raises(EmptyGraphError, match="hollow"):
-            quadruple(RULE, AUG("hollow", (), ()), MISUSE, dist_ged_hungarian)
+            distance_table(RULE, dataset, dist_ged_hungarian)
+
+
+class TestDistanceTable:
+    def test_sides_sharing_a_name_are_keyed_by_role(self):
+        twin_rule = rule("twins", _renamed(MISUSE, "same"), _renamed(FIX, "same"))
+        table = distance_table(twin_rule, Dataset((FIX,), ()), dist_ged_hungarian)
+        assert table[("fix", "fixg")].value == 0.0
+        assert table[("misuse", "fixg")].value > 0.0
 
 
 class TestApplicability:
@@ -98,7 +121,7 @@ class TestApplicability:
             tuple(_renamed(FIX, f"c{i}") for i in range(3)),
             tuple(_renamed(MISUSE, f"m{i}") for i in range(3)),
         )
-        verdict = is_applicable(RULE, dataset, dist_ged_hungarian)
+        verdict = _verdict(dataset, dist_ged_hungarian)
         assert verdict.applicable
         assert verdict.mean_fix_to_correct == 0.0
         assert verdict.mean_misuse_to_misuse == 0.0
@@ -114,7 +137,7 @@ class TestApplicability:
     def test_identical_partitions_never_applicable(self):
         entries = tuple(_renamed(FIX, f"c{i}") for i in range(2))
         mirrored = tuple(_renamed(FIX, f"m{i}") for i in range(2))
-        verdict = is_applicable(RULE, Dataset(entries, mirrored), dist_ged_hungarian)
+        verdict = _verdict(Dataset(entries, mirrored), dist_ged_hungarian)
         assert not verdict.fix_prefers_correct
         assert not verdict.misuse_prefers_misuse
         assert not verdict.applicable
@@ -122,7 +145,7 @@ class TestApplicability:
     def test_empty_partition_raises(self):
         dataset = Dataset((FIX,), ())
         with pytest.raises(InsufficientDataError):
-            is_applicable(RULE, dataset, dist_ged_hungarian)
+            _verdict(dataset, dist_ged_hungarian)
 
     def test_incomputable_entries_shrink_the_mean(self):
         calls = []
@@ -137,7 +160,7 @@ class TestApplicability:
             (_renamed(FIX, "c_ok"), _renamed(FIX, "c_bad")),
             (_renamed(MISUSE, "m0"),),
         )
-        verdict = is_applicable(RULE, dataset, flaky)
+        verdict = _verdict(dataset, flaky)
         assert verdict.mean_fix_to_correct == 0.25
         assert verdict.mean_misuse_to_correct == 0.5
 
@@ -147,7 +170,7 @@ class TestApplicability:
 
         dataset = Dataset((_renamed(FIX, "c0"),), (_renamed(MISUSE, "m0"),))
         with pytest.raises(InsufficientDataError):
-            is_applicable(RULE, dataset, dead)
+            _verdict(dataset, dead)
 
     def test_mean_invariant_under_reordering(self):
         correct = tuple(_renamed(FIX, f"c{i}") for i in range(3))
@@ -156,22 +179,27 @@ class TestApplicability:
             _renamed(FIX, "m1"),
             _renamed(MISUSE, "m2"),
         )
-        forward = is_applicable(RULE, Dataset(correct, misuse), dist_ged_hungarian)
-        backward = is_applicable(
-            RULE, Dataset(correct[::-1], misuse[::-1]), dist_ged_hungarian
-        )
+        forward = _verdict(Dataset(correct, misuse), dist_ged_hungarian)
+        backward = _verdict(Dataset(correct[::-1], misuse[::-1]), dist_ged_hungarian)
         assert forward == backward
 
 
 class TestDetect:
+    """Single-entry detector cases, read through ``score``."""
+
     def test_entry_matching_misuse_is_flagged(self):
-        assert detect(RULE, _renamed(MISUSE, "e"), dist_ged_hungarian) is True
+        report = _score(RULE, Dataset((), (_renamed(MISUSE, "e"),)), dist_ged_hungarian)
+        assert (report.tp, report.fn) == (1, 0)
 
     def test_entry_matching_fix_is_not_flagged(self):
-        assert detect(RULE, _renamed(FIX, "e"), dist_ged_hungarian) is False
+        report = _score(RULE, Dataset((_renamed(FIX, "e"),), ()), dist_ged_hungarian)
+        assert (report.fp, report.tn) == (0, 1)
 
     def test_tie_is_not_flagged(self):
-        assert detect(RULE, _renamed(FIX, "e"), lambda a, b: 0.5) is False
+        dataset = Dataset((_renamed(FIX, "c"),), (_renamed(MISUSE, "m"),))
+        report = _score(RULE, dataset, lambda a, b: 0.5)
+        assert (report.tp, report.fp, report.tn, report.fn) == (0, 0, 1, 1)
+        assert report.skipped == 0
 
 
 class TestScore:
@@ -203,7 +231,7 @@ class TestScore:
             _renamed(MISUSE, "row_one/misuse"),
             _renamed(FIX, "row_one/fix"),
         )
-        report = score(scoring_rule, self._stub_dataset(3, 2, 377, 111), self._stub_dist)
+        report = _score(scoring_rule, self._stub_dataset(3, 2, 377, 111), self._stub_dist)
         assert (report.tp, report.fp, report.tn, report.fn) == (3, 2, 377, 111)
         assert f"{report.precision * 100:.2f}" == "60.00"
         assert f"{report.recall * 100:.2f}" == "2.63"
@@ -214,7 +242,7 @@ class TestScore:
             _renamed(MISUSE, "row_two/misuse"),
             _renamed(FIX, "row_two/fix"),
         )
-        report = score(scoring_rule, self._stub_dataset(20, 94, 285, 94), self._stub_dist)
+        report = _score(scoring_rule, self._stub_dataset(20, 94, 285, 94), self._stub_dist)
         assert (report.tp, report.fp, report.tn, report.fn) == (20, 94, 285, 94)
         assert f"{report.precision * 100:.2f}" == "17.54"
         assert f"{report.recall * 100:.2f}" == "17.54"
@@ -225,14 +253,14 @@ class TestScore:
             _renamed(MISUSE, "quiet/misuse"),
             _renamed(FIX, "quiet/fix"),
         )
-        report = score(scoring_rule, self._stub_dataset(0, 0, 5, 5), self._stub_dist)
+        report = _score(scoring_rule, self._stub_dataset(0, 0, 5, 5), self._stub_dist)
         assert report.tp == report.fp == 0
         assert report.precision == 0.0
         assert report.recall == 0.0
 
     def test_report_algebra(self):
         dataset = self._stub_dataset(2, 1, 4, 3)
-        report = score(RULE, dataset, self._stub_dist)
+        report = _score(RULE, dataset, self._stub_dist)
         assert report.tp + report.fn == len(dataset.misuse)
         assert report.fp + report.tn == len(dataset.correct)
 
@@ -242,7 +270,7 @@ class TestScore:
                 raise DegenerateStructureError("collapsed")
             return self._stub_dist(reference, entry)
 
-        report = score(RULE, self._stub_dataset(1, 1, 2, 1), flaky)
+        report = _score(RULE, self._stub_dataset(1, 1, 2, 1), flaky)
         assert report.skipped == 1
         assert report.tp + report.fp + report.tn + report.fn == 4
 
@@ -257,28 +285,34 @@ class TestQuadrupleWithRealAlgorithms:
         big_c = random_aug(rng, "c", max_nodes=20, min_nodes=20, max_edges=40, min_edges=40)
         big_m = random_aug(rng, "m", max_nodes=20, min_nodes=20, max_edges=40, min_edges=40)
         deadline = 0.3
-        result = quadruple(
-            RULE, big_c, big_m, lambda a, b: dist_ged_astar(a, b, timeout=deadline)
+        dataset = Dataset((big_c,), (big_m,))
+        table = distance_table(
+            RULE, dataset, lambda a, b: dist_ged_astar(a, b, timeout=deadline)
         )
-        assert not result.incomputable
-        assert result.elapsed <= 4 * deadline + 1.0
+        assert all(cell.value is not None for cell in table.values())
+        (row,) = timing_rows(RULE, dataset, table, "astar-ged")
+        assert row.elapsed_seconds <= 4 * deadline + 1.0
 
     def test_node_similarity_on_edgeless_side_marks_incomputable(self):
         from augdist import dist_node_sim
 
         edgeless_misuse = aug("bare", [("n", "A", "data", "")])
         degenerate_rule = rule("degenerate", edgeless_misuse, FIX)
-        result = quadruple(degenerate_rule, FIX, MISUSE, dist_node_sim)
-        assert result.incomputable
+        table = distance_table(degenerate_rule, Dataset((FIX,), (MISUSE,)), dist_node_sim)
+        assert table[("misuse", "fixg")].value is None
+        assert table[("misuse", "misg")].value is None
+        assert table[("fix", "misg")].value is not None
 
 
 class TestBenchmark:
+    """Timing rows derived from the table."""
+
     def test_instant_stub_has_near_zero_times(self):
         dataset = Dataset(
             tuple(_renamed(FIX, f"c{i}") for i in range(3)),
             tuple(_renamed(MISUSE, f"m{i}") for i in range(3)),
         )
-        rows = benchmark([RULE], dataset, lambda a, b: 0.0, "stub")
+        rows = _timing_rows(dataset, lambda a, b: 0.0, "stub")
         assert len(rows) == 3
         summary = timing_summary(rows)
         mean, median = summary["stub"]
@@ -297,13 +331,20 @@ class TestBenchmark:
                 time.sleep(0.03)
             return 0.0
 
-        rows = benchmark([RULE], dataset, tailed, "tailed")
+        rows = _timing_rows(dataset, tailed, "tailed")
         mean, median = timing_summary(rows)["tailed"]
         assert mean > median
 
     def test_row_shape(self):
         dataset = Dataset((FIX,), (MISUSE,))
-        rows = benchmark([RULE], dataset, lambda a, b: 0.0, "stub")
+        rows = _timing_rows(dataset, lambda a, b: 0.0, "stub")
         assert rows[0].algo == "stub"
         assert rows[0].rule_id == "iter_rule"
         assert rows[0].elapsed_seconds >= 0.0
+
+    def test_row_is_the_sum_of_its_four_cells(self):
+        dataset = Dataset((FIX, _renamed(FIX, "c1")), (MISUSE,))
+        table = distance_table(RULE, dataset, dist_ged_hungarian)
+        (row,) = timing_rows(RULE, dataset, table, "hungarian-ged")
+        cells = [("fix", "fixg"), ("fix", "misg"), ("misuse", "fixg"), ("misuse", "misg")]
+        assert row.elapsed_seconds == sum(table[key].seconds for key in cells)
