@@ -6,6 +6,14 @@ Supported schema: a ``digraph`` whose node statements carry ``label``,
 ``part`` (``misuse`` or ``fix``) and encode the node mapping as inter-part
 edges labeled ``transform``; empty nodes have ``type="empty"``. Unknown
 attributes are ignored. Subgraphs and ports are outside the schema.
+
+Lexical subset: quoted strings, in which ``\\"`` and ``\\\\`` stand for
+``"`` and ``\\`` while every other backslash escape is kept verbatim; ids
+made of ``[A-Za-z0-9_.]`` and negative numerals (``-1``, ``-.5``,
+``-2.5``); the punctuation ``{ } [ ] = , ; ->``; ``#`` and ``//`` line
+comments and ``/* */`` block comments. The keywords ``digraph``,
+``subgraph``, ``graph``, ``node`` and ``edge`` are case-insensitive. Parsing
+fails only with ``DotSyntaxError`` or ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -20,77 +28,50 @@ _PART_MISUSE = "misuse"
 _PART_FIX = "fix"
 _TRANSFORM = "transform"
 
-_ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
-# A negative DOT numeral; unsigned ones are already runs of id characters.
-_NEGATIVE_NUMERAL = re.compile(r"-(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
+# One match per token: a prefix of whitespace and comments, then the token.
+# Groups: 1 string (quotes included), 2 id or negative numeral,
+# 3 punctuation, 4 any other character, which is a syntax error. After the
+# prefix, end of input or some character always matches, so the prefix never
+# gives characters back (an input ending in "// c" stays a comment).
+_SCANNER = re.compile(
+    r"""(?:\s+|\#[^\n]*|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*
+    (?:("[^"\\]*(?:\\.[^"\\]*)*")
+      |([A-Za-z0-9_.]+|-(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?))
+      |(->|[{}\[\]=,;])
+      |\Z
+      |(.))""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass
-class _Token:
-    kind: str  # "id", "string", or a punctuation literal
-    value: str
-    pos: int
+def _offset(text: str, index: int) -> int:
+    """Offset of the index-th token, recomputed only to report an error."""
+    return [m.start(m.lastindex) for m in _SCANNER.finditer(text) if m.lastindex][index]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#" or text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise DotSyntaxError(f"unterminated comment at offset {i}")
-            i = end + 2
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            parts: list[str] = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    nxt = text[i + 1]
-                    if nxt in ('"', "\\"):
-                        parts.append(nxt)
-                    else:
-                        parts.append(text[i : i + 2])
-                    i += 2
-                else:
-                    parts.append(text[i])
-                    i += 1
-            if i >= n:
-                raise DotSyntaxError(f"unterminated string at offset {start}")
-            i += 1
-            tokens.append(_Token("string", "".join(parts), start))
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", i))
-            i += 2
-            continue
-        numeral = _NEGATIVE_NUMERAL.match(text, i) if ch == "-" else None
-        if numeral:
-            tokens.append(_Token("id", numeral.group(), i))
-            i = numeral.end()
-            continue
-        if ch in "{}[]=,;":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch in _ID_CHARS:
-            start = i
-            while i < n and text[i] in _ID_CHARS:
-                i += 1
-            tokens.append(_Token("id", text[start:i], start))
-            continue
-        raise DotSyntaxError(f"unexpected character {ch!r} at offset {i}")
-    return tokens
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """Token kinds ("id", "string" or the punctuation) and values, in order."""
+    kinds: list[str] = []
+    values: list[str] = []
+    for string, name, punct, other in _SCANNER.findall(text):
+        if string:
+            kinds.append("string")
+            body = string[1:-1]
+            values.append(re.sub(r'\\(["\\])', r"\1", body) if "\\" in body else body)
+        elif name:
+            kinds.append("id")
+            values.append(name)
+        elif punct:
+            kinds.append(punct)
+            values.append(punct)
+        elif other:
+            at = _offset(text, len(kinds))
+            if other == '"':
+                raise DotSyntaxError(f"unterminated string at offset {at}")
+            if text.startswith("/*", at):
+                raise DotSyntaxError(f"unterminated comment at offset {at}")
+            raise DotSyntaxError(f"unexpected character {other!r} at offset {at}")
+    return kinds, values
 
 
 @dataclass
@@ -101,117 +82,104 @@ class _Digraph:
     edges: list[tuple[str, str, dict[str, str]]] = field(default_factory=list)
 
 
+_NAMES = ("id", "string")
+_END = ""  # kind of the sentinel after the last token
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.values = _scan(text)
+        self.kinds.append(_END)
         self.pos = 0
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
+    def _next(self) -> int:
+        """Consume the next token and return its index."""
+        index = self.pos
+        if self.kinds[index] == _END:
             raise DotSyntaxError("unexpected end of input")
-        self.pos += 1
-        return token
+        self.pos = index + 1
+        return index
 
-    def _expect(self, kind: str) -> _Token:
-        token = self._next()
-        if token.kind != kind:
-            raise DotSyntaxError(
-                f"expected {kind!r} but found {token.value!r} at offset {token.pos}"
-            )
-        return token
+    def _found(self, expected: str, index: int) -> DotSyntaxError:
+        return DotSyntaxError(
+            f"expected {expected} but found {self.values[index]!r} "
+            f"at offset {_offset(self.text, index)}"
+        )
 
-    def _name_token(self) -> str:
-        token = self._next()
-        if token.kind not in ("id", "string"):
-            raise DotSyntaxError(
-                f"expected identifier but found {token.value!r} at offset {token.pos}"
-            )
-        return token.value
+    def _expect(self, kind: str) -> None:
+        index = self._next()
+        if self.kinds[index] != kind:
+            raise self._found(repr(kind), index)
+
+    def _name(self) -> str:
+        index = self._next()
+        if self.kinds[index] not in _NAMES:
+            raise self._found("identifier", index)
+        return self.values[index]
 
     def parse(self) -> _Digraph:
         graph = _Digraph()
+        kinds = self.kinds
         head = self._next()
-        if head.kind != "id" or head.value.lower() != "digraph":
+        if kinds[head] != "id" or self.values[head].lower() != "digraph":
             raise DotSyntaxError("input does not start with a digraph")
-        token = self._peek()
-        if token is not None and token.kind in ("id", "string"):
-            graph.name = self._next().value
+        if kinds[self.pos] in _NAMES:
+            graph.name = self._name()
         self._expect("{")
-        while True:
-            token = self._peek()
-            if token is None:
+        while kinds[self.pos] != "}":
+            if kinds[self.pos] == _END:
                 raise DotSyntaxError("missing closing brace")
-            if token.kind == "}":
-                self._next()
-                break
             self._statement(graph)
-        if self._peek() is not None:
-            trailing = self._peek()
-            assert trailing is not None
+        self.pos += 1
+        if kinds[self.pos] != _END:
             raise DotSyntaxError(
-                f"trailing input after closing brace at offset {trailing.pos}"
+                f"trailing input after closing brace at offset {_offset(self.text, self.pos)}"
             )
         return graph
 
     def _statement(self, graph: _Digraph) -> None:
-        token = self._next()
-        if token.kind not in ("id", "string"):
-            raise DotSyntaxError(
-                f"expected a statement but found {token.value!r} at offset {token.pos}"
-            )
-        if token.kind == "id" and token.value.lower() == "subgraph":
+        kinds = self.kinds
+        index = self._next()
+        kind, first = kinds[index], self.values[index]
+        if kind not in _NAMES:
+            raise self._found("a statement", index)
+        keyword = first.lower() if kind == "id" else ""
+        if keyword == "subgraph":
             raise DotSyntaxError("subgraphs are not part of the schema")
-        if token.kind == "id" and token.value.lower() in ("graph", "node", "edge"):
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "[":
-                self._attr_list()  # default-attribute statement: parse and ignore
-                self._skip_separator()
-                return
-        first = token.value
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "->":
+        if keyword in ("graph", "node", "edge") and kinds[self.pos] == "[":
+            self._attr_list()  # default-attribute statement: parse and ignore
+        elif kinds[self.pos] == "->":
             chain = [first]
-            while (arrow := self._peek()) is not None and arrow.kind == "->":
-                self._next()
-                chain.append(self._name_token())
-            attrs = {}
-            if (bracket := self._peek()) is not None and bracket.kind == "[":
-                attrs = self._attr_list()
+            while kinds[self.pos] == "->":
+                self.pos += 1
+                chain.append(self._name())
+            attrs = self._attr_list() if kinds[self.pos] == "[" else {}
             for source, target in zip(chain, chain[1:]):
                 graph.edges.append((source, target, dict(attrs)))
         else:
-            attrs = {}
-            if nxt is not None and nxt.kind == "[":
-                attrs = self._attr_list()
+            attrs = self._attr_list() if kinds[self.pos] == "[" else {}
             graph.nodes.setdefault(first, {}).update(attrs)
-        self._skip_separator()
-
-    def _skip_separator(self) -> None:
-        token = self._peek()
-        if token is not None and token.kind == ";":
-            self._next()
+        if kinds[self.pos] == ";":
+            self.pos += 1
 
     def _attr_list(self) -> dict[str, str]:
-        self._expect("[")
+        kinds = self.kinds
+        self.pos += 1  # the opening "["
         attrs: dict[str, str] = {}
         while True:
-            token = self._peek()
-            if token is None:
+            kind = kinds[self.pos]
+            if kind == _END:
                 raise DotSyntaxError("unterminated attribute list")
-            if token.kind == "]":
-                self._next()
+            if kind == "]":
+                self.pos += 1
                 return attrs
-            if token.kind in (",", ";"):
-                self._next()
+            if kind in (",", ";"):
+                self.pos += 1
                 continue
-            key = self._name_token()
+            key = self._name()
             self._expect("=")
-            value = self._name_token()
-            attrs[key] = value
+            attrs[key] = self._name()
 
 
 def _node_from_attrs(node_id: str, attrs: dict[str, str]) -> Node:
@@ -219,6 +187,8 @@ def _node_from_attrs(node_id: str, attrs: dict[str, str]) -> Node:
         raise SchemaError(f"node {node_id!r} is missing the 'label' attribute")
     if "type" not in attrs:
         raise SchemaError(f"node {node_id!r} is missing the 'type' attribute")
+    if not attrs["label"] and attrs["type"] != EMPTY_TYPE:
+        raise SchemaError(f"node {node_id!r} has an empty 'label'")
     return Node(
         id=node_id,
         label=attrs["label"],

@@ -71,14 +71,16 @@ def similarity_matrix(
 
     for iteration in range(1, max_iter + 1):
         update = adj_b @ current @ adj_a.T + adj_b.T @ current @ adj_a
-        norm = float(np.linalg.norm(update))
+        flat = update.ravel()
+        norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own path, minus its dispatch
         if norm == 0.0 or not math.isfinite(norm):
             raise DegenerateStructureError(
                 f"similarity update collapsed to zero for {a.name!r} vs {b.name!r}"
             )
         current = update / norm
         if iteration % 2 == 0:
-            if float(np.linalg.norm(current - previous_even)) < tol:
+            flat = (current - previous_even).ravel()
+            if math.sqrt(flat.dot(flat)) < tol:
                 return SimilarityMatrix(current, iteration, True)
             previous_even = current
     return SimilarityMatrix(current, max_iter, False)

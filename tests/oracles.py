@@ -7,10 +7,12 @@ path, so the fast implementations can be checked against it exactly.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
+from dataclasses import dataclass
 from itertools import product
 
-from augdist import AUG, CostModel
+from augdist import AUG, CostModel, DotSyntaxError
 from augdist.graphs import Node
 
 
@@ -281,3 +283,77 @@ def best_assignment_mean(matrix) -> float:
         return best
 
     return extend(0, frozenset(), 0) / size
+
+
+_ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
+# A negative DOT numeral; unsigned ones are already runs of id characters.
+_NEGATIVE_NUMERAL = re.compile(r"-(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
+
+
+@dataclass
+class _Token:
+    kind: str  # "id", "string", or a punctuation literal
+    value: str
+    pos: int
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    """The character-by-character DOT tokenizer the compiled scanner replaced."""
+    tokens: list[_Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "#" or text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                raise DotSyntaxError(f"unterminated comment at offset {i}")
+            i = end + 2
+            continue
+        if ch == '"':
+            start = i
+            i += 1
+            parts: list[str] = []
+            while i < n and text[i] != '"':
+                if text[i] == "\\" and i + 1 < n:
+                    nxt = text[i + 1]
+                    if nxt in ('"', "\\"):
+                        parts.append(nxt)
+                    else:
+                        parts.append(text[i : i + 2])
+                    i += 2
+                else:
+                    parts.append(text[i])
+                    i += 1
+            if i >= n:
+                raise DotSyntaxError(f"unterminated string at offset {start}")
+            i += 1
+            tokens.append(_Token("string", "".join(parts), start))
+            continue
+        if text.startswith("->", i):
+            tokens.append(_Token("->", "->", i))
+            i += 2
+            continue
+        numeral = _NEGATIVE_NUMERAL.match(text, i) if ch == "-" else None
+        if numeral:
+            tokens.append(_Token("id", numeral.group(), i))
+            i = numeral.end()
+            continue
+        if ch in "{}[]=,;":
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        if ch in _ID_CHARS:
+            start = i
+            while i < n and text[i] in _ID_CHARS:
+                i += 1
+            tokens.append(_Token("id", text[start:i], start))
+            continue
+        raise DotSyntaxError(f"unexpected character {ch!r} at offset {i}")
+    return tokens

@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from augdist import (
@@ -14,7 +14,9 @@ from augdist import (
     parse_rule,
     serialize_aug,
 )
+from augdist.dot import _scan
 from helpers import aug
+from oracles import reference_tokenize
 
 FIG_STYLE_GRAPH = """digraph "compute" {
   bar  [label="Bar", type="data", api="p.Bar"];
@@ -143,6 +145,10 @@ class TestParseAug:
         assert g.nodes[0].label == numeral
         assert parse_aug(serialize_aug(g)) == g
 
+    def test_empty_label_raises_schema_error(self):
+        with pytest.raises(SchemaError, match="'a' has an empty 'label'"):
+            parse_aug('digraph { a [label="", type="data"]; }')
+
     def test_comments_skipped(self):
         g = parse_aug(
             "digraph { // line comment\n"
@@ -259,6 +265,10 @@ class TestParseRule:
         )
         assert r.mapping == (("a", None),)
 
+    def test_empty_label_on_member_node_rejected(self):
+        with pytest.raises(SchemaError, match="'a' has an empty 'label'"):
+            parse_rule('digraph { a [label="", type="data", part="misuse"]; }')
+
     def test_node_without_part_rejected(self):
         with pytest.raises(SchemaError, match="'part'"):
             parse_rule('digraph { a [label="A", type="data"]; }')
@@ -295,3 +305,57 @@ class TestParseRule:
                 ' a [label="A", type="data", part="misuse"];'
                 ' e -> a [label="recv"]; }'
             )
+
+
+# Fragments that exercise every branch of the lexer, including the ones
+# where a prefix of a comment, string, numeral or arrow must not be taken.
+_PIECES = [
+    "digraph", "DiGraph", "node", "subgraph", "a", "n1", "label", "type", "part",
+    '"x"', '"a\\"b"', '"\\\\"', '"\\q"', '"', '""',
+    "-1", "-.5", "-", "->", "1", ".", "/*", "*/", "*", "/", "//c", "#c",
+    "\\", "\x1c", "é", " ", "\n", "\t",
+    "{", "}", "[", "]", "=", ",", ";",
+]
+_dot_like = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except DotSyntaxError as error:
+        return str(error)
+
+
+class TestScannerMatchesReference:
+    """The compiled scanner yields the reference tokenizer's tokens, or
+    raises the same message, offsets included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_dot_like)
+    @example("a // c")
+    @example("a /* a */ b */")
+    @example("/**/ a /***/")
+    @example('a "unterminated')
+    @example("a /* unterminated")
+    @example("-1.2.3")
+    def test_same_tokens_or_message(self, text):
+        def reference(text):
+            return [(token.kind, token.value) for token in reference_tokenize(text)]
+
+        def scanned(text):
+            return list(zip(*_scan(text)))
+
+        assert _tokens_or_error(scanned, text) == _tokens_or_error(reference, text)
+
+
+class TestParserErrorContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _dot_like, _dot_like.map(lambda body: f"digraph {{ {body} }}")))
+    @example('digraph { a [label="", type="data"]; }')
+    @example('digraph { a [label="", type="data", part="fix"]; }')
+    def test_only_documented_errors(self, text):
+        for parse in (parse_aug, parse_rule):
+            try:
+                parse(text)
+            except (DotSyntaxError, SchemaError):
+                pass
