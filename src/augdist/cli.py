@@ -222,11 +222,14 @@ def cmd_dist(file_a: Path, file_b: Path, config: RunConfig) -> int:
             print(f"error: cannot read graph from {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
     dist = build_distance(config)
+    ged.take_clamp_count()  # count this call's clamps only
     try:
         value = dist(graphs[0], graphs[1])
     except (EmptyGraphError, DegenerateStructureError, GedTimeoutError) as exc:
         print(f"error: distance incomputable: {exc}", file=sys.stderr)
         return EXIT_INCOMPUTABLE
+    if ged.take_clamp_count():
+        logger.warning("distance value clamped to 1.0")
     print(f"{value:.6f}")
     return EXIT_OK
 
@@ -245,9 +248,13 @@ def _init_worker(config: RunConfig, dataset: Dataset) -> None:
 
 def _evaluate_rule(
     rule: CorrectionRule,
-) -> tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]]:
+) -> tuple[
+    tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]], int
+]:
+    """One rule's results and the number of its distance values clamped to 1.0."""
     assert _WORKER_CONFIG is not None and _WORKER_DATASET is not None
-    return evaluate_rule(rule, _WORKER_DATASET, _WORKER_CONFIG)
+    result = evaluate_rule(rule, _WORKER_DATASET, _WORKER_CONFIG)
+    return result, ged.take_clamp_count()
 
 
 def evaluate_rule(
@@ -287,15 +294,21 @@ def cmd_evaluate(
     results: list[
         tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]]
     ]
+    ged.take_clamp_count()  # count this run's clamps only
     if config.workers > 1 and len(rules) > 1:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_init_worker,
             initargs=(config, dataset),
         ) as pool:
-            results = list(pool.map(_evaluate_rule, rules))
+            outcomes = list(pool.map(_evaluate_rule, rules))
+        results = [result for result, _ in outcomes]
+        clamped = sum(count for _, count in outcomes)
     else:
         results = [evaluate_rule(rule, dataset, config) for rule in rules]
+        clamped = ged.take_clamp_count()
+    if clamped:
+        logger.warning("%d distance values clamped to 1.0", clamped)
 
     verdicts = [verdict for verdict, _, _ in results if verdict is not None]
     reports = [report for _, report, _ in results if report is not None]

@@ -8,6 +8,7 @@ as a linear sum assignment (node costs only).
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from collections import Counter
@@ -103,10 +104,6 @@ class _DeadlineHit(Exception):
     pass
 
 
-def _label_multiset(graph: AUG) -> Counter[str]:
-    return Counter(edge.label for edge in graph.edges)
-
-
 class _MappingSearch:
     """Depth-first branch-and-bound over node mappings.
 
@@ -116,13 +113,23 @@ class _MappingSearch:
     when the second endpoint of an edge is decided, so the accumulated cost
     of a partial mapping covers exactly the edges whose fate is fixed.
 
+    An expansion does only int and list work. Edge labels of both graphs are
+    interned as ids in sorted label order, and each ordered node pair's edges
+    are a sorted tuple of ids, on which a pair's edit cost is memoized. Node
+    ``i`` of ``a`` is always decided at depth ``i``, so the ``a`` edges that
+    deciding it settles (those to earlier nodes, and its loops) are fixed up
+    front; only ``b``'s settled edges depend on the mapping.
+
     The remaining cost is bounded from below by (a) the larger of the two
     per-node best-case bounds (every undecided source node pays at least its
-    cheapest substitution or a deletion; symmetrically for unused target
-    nodes) and (b) an edge-surplus bound: of the not-yet-charged edge
-    instances, at most the label-wise overlap can ever be matched for free,
-    and each of the remaining ``max(r_a, r_b) - overlap`` costs at least
-    ``min(edge_delete, edge_insert)``. Both bounds underestimate, so a
+    cheapest substitution by an unused target node or a deletion;
+    symmetrically for unused target nodes) and (b) an edge-surplus bound: of
+    the not-yet-charged edge instances, at most the label-wise overlap can
+    ever be matched for free, and each of the remaining ``max(r_a, r_b) -
+    overlap`` costs at least ``min(edge_delete, edge_insert)``. The undecided
+    source nodes are always the suffix ``depth:``, so a row's minimum scans
+    its columns, presorted by cost, to the first unused one, and a column's
+    minimum over the suffix is precomputed. Both bounds underestimate, so a
     search that runs to completion is exact.
     """
 
@@ -134,21 +141,48 @@ class _MappingSearch:
         self.n = len(self.a_nodes)
         self.m = len(self.b_nodes)
 
-        index_a = {node.id: i for i, node in enumerate(self.a_nodes)}
-        index_b = {node.id: k for k, node in enumerate(self.b_nodes)}
-        self.adj_a = self._indexed_adjacency(a, index_a)
-        self.adj_b = self._indexed_adjacency(b, index_b)
-        self.nbr_a = self._neighbors(self.adj_a, self.n)
-        self.nbr_b = self._neighbors(self.adj_b, self.m)
+        labels = sorted({edge.label for edge in (*a.edges, *b.edges)})
+        label_id = {label: x for x, label in enumerate(labels)}
+        self.pair_cost = functools.cache(functools.partial(_pair_edge_cost, cm, labels))
+        ea = self.edges_a = self._edge_table(a, self.a_nodes, label_id)
+        eb = self.edges_b = self._edge_table(b, self.b_nodes, label_id)
+        self.earlier_a = [
+            [j for j in range(i) if ea[i][j] or ea[j][i]] for i in range(self.n)
+        ]
+        self.settle_a = [
+            ea[i][i] + tuple(x for j in earlier for x in ea[i][j] + ea[j][i])
+            for i, earlier in enumerate(self.earlier_a)
+        ]
+        self.nbr_b = [
+            [l for l in range(self.m) if l != k and (eb[k][l] or eb[l][k])]
+            for k in range(self.m)
+        ]
+        self.links_b = [
+            [(l, eb[k][l] + eb[l][k]) for l in nbr] for k, nbr in enumerate(self.nbr_b)
+        ]
 
         self.sub = [
             [float(cm.node_substitute(u, v)) for v in self.b_nodes]
             for u in self.a_nodes
         ]
-        self.sub_np = np.array(self.sub, dtype=float) if self.n and self.m else None
+        self.row_order = [
+            sorted(
+                (k for k, cost in enumerate(row) if cost < cm.node_delete),
+                key=row.__getitem__,
+            )
+            for row in self.sub
+        ]
+        floor = [cm.node_insert] * self.m
+        self.col_floor = [floor]
+        for row in reversed(self.sub):
+            floor = [min(x, y) for x, y in zip(row, floor)]
+            self.col_floor.append(floor)
+        self.col_floor.reverse()
 
-        self.rest_a = _label_multiset(a)
-        self.rest_b = _label_multiset(b)
+        ids_a = [label_id[edge.label] for edge in a.edges]
+        ids_b = [label_id[edge.label] for edge in b.edges]
+        self.rest_a = [ids_a.count(x) for x in range(len(labels))]
+        self.rest_b = [ids_b.count(x) for x in range(len(labels))]
         self.rest_a_total = a.edge_count
         self.rest_b_total = b.edge_count
         self.min_edge_op = min(cm.edge_delete, cm.edge_insert)
@@ -159,27 +193,19 @@ class _MappingSearch:
         self.matched = 0
         self.best = float("inf")
         self.best_assign: list[int] | None = None
-        self.pair_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
 
     @staticmethod
-    def _indexed_adjacency(
-        graph: AUG, index: dict[str, int]
-    ) -> dict[tuple[int, int], Counter[str]]:
-        adjacency: dict[tuple[int, int], Counter[str]] = {}
+    def _edge_table(
+        graph: AUG, nodes: list[Node], label_id: dict[str, int]
+    ) -> list[list[tuple[int, ...]]]:
+        """Sorted label ids of the edges of each ordered node pair."""
+        index = {node.id: i for i, node in enumerate(nodes)}
+        table: list[list[tuple[int, ...]]] = [[()] * len(nodes) for _ in nodes]
         for (source, target), counts in graph.edge_label_counts.items():
-            adjacency[(index[source], index[target])] = counts
-        return adjacency
-
-    @staticmethod
-    def _neighbors(
-        adjacency: dict[tuple[int, int], Counter[str]], size: int
-    ) -> list[list[int]]:
-        neighbor_sets: list[set[int]] = [set() for _ in range(size)]
-        for u, v in adjacency:
-            if u != v:
-                neighbor_sets[u].add(v)
-                neighbor_sets[v].add(u)
-        return [sorted(s) for s in neighbor_sets]
+            table[index[source]][index[target]] = tuple(
+                sorted(label_id[label] for label in counts.elements())
+            )
+        return table
 
     def run(self) -> GedResult:
         try:
@@ -212,124 +238,50 @@ class _MappingSearch:
 
     # -- cost pieces ------------------------------------------------------
 
-    def _pair_edge_cost(self, ca: Counter[str] | None, cb: Counter[str] | None) -> float:
-        """Cheapest way to edit one ordered pair's edge multiset into another."""
-        size_a = sum(ca.values()) if ca else 0
-        size_b = sum(cb.values()) if cb else 0
-        if not size_a:
-            return self.cm.edge_insert * size_b
-        if not size_b:
-            return self.cm.edge_delete * size_a
-        assert ca is not None and cb is not None
-        common = ca & cb
-        rest_a = tuple(sorted((ca - common).elements()))
-        rest_b = tuple(sorted((cb - common).elements()))
-        if not rest_a and not rest_b:
-            return 0.0
-        key = (rest_a, rest_b)
-        cached = self.pair_cache.get(key)
-        if cached is None:
-            cached = _match_with_ops(self.cm, rest_a, rest_b)[0]
-            self.pair_cache[key] = cached
-        return cached
-
-    def _substitute_delta(self, i: int, k: int, depth: int) -> float:
+    def _substitute_delta(self, i: int, k: int) -> float:
         delta = self.sub[i][k]
-        relevant = {j for j in self.nbr_a[i] if j < depth}
+        relevant = set(self.earlier_a[i])
         for l in self.nbr_b[k]:
             if self.used[l]:
                 relevant.add(self.preimage[l])
+        ea, eb, pair_cost = self.edges_a, self.edges_b, self.pair_cost
         for j in relevant:
             l = self.assign[j]
-            out_a = self.adj_a.get((i, j))
-            in_a = self.adj_a.get((j, i))
             if l == _DELETED:
-                size = (sum(out_a.values()) if out_a else 0) + (
-                    sum(in_a.values()) if in_a else 0
-                )
-                delta += self.cm.edge_delete * size
+                delta += self.cm.edge_delete * (len(ea[i][j]) + len(ea[j][i]))
             else:
-                delta += self._pair_edge_cost(out_a, self.adj_b.get((k, l)))
-                delta += self._pair_edge_cost(in_a, self.adj_b.get((l, k)))
-        delta += self._pair_edge_cost(self.adj_a.get((i, i)), self.adj_b.get((k, k)))
+                delta += pair_cost(ea[i][j], eb[k][l])
+                delta += pair_cost(ea[j][i], eb[l][k])
+        delta += pair_cost(ea[i][i], eb[k][k])
         return delta
-
-    def _delete_delta(self, i: int, depth: int) -> float:
-        delta = self.cm.node_delete
-        total = 0
-        for j in self.nbr_a[i]:
-            if j >= depth:
-                continue
-            for key in ((i, j), (j, i)):
-                counts = self.adj_a.get(key)
-                if counts:
-                    total += sum(counts.values())
-        loops = self.adj_a.get((i, i))
-        if loops:
-            total += sum(loops.values())
-        return delta + self.cm.edge_delete * total
 
     # -- admissible lower bound -------------------------------------------
 
     def _bound(self, depth: int) -> float:
-        available = [k for k in range(self.m) if not self.used[k]]
-        remaining = self.n - depth
-        if remaining and available:
-            assert self.sub_np is not None
-            block = self.sub_np[depth:, available]
-            bound_a = float(np.minimum(block.min(axis=1), self.cm.node_delete).sum())
-            bound_b = float(np.minimum(block.min(axis=0), self.cm.node_insert).sum())
-        elif remaining:
-            bound_a = remaining * self.cm.node_delete
-            bound_b = 0.0
-        else:
+        used = self.used
+        if self.matched < self.m:
             bound_a = 0.0
-            bound_b = len(available) * self.cm.node_insert
-        node_bound = max(bound_a, bound_b)
+            for r in range(depth, self.n):
+                for k in self.row_order[r]:
+                    if not used[k]:
+                        bound_a += self.sub[r][k]
+                        break
+                else:
+                    bound_a += self.cm.node_delete
+            bound_b = 0.0
+            for floor, taken in zip(self.col_floor[depth], used):
+                if not taken:
+                    bound_b += floor
+        else:
+            bound_a = (self.n - depth) * self.cm.node_delete
+            bound_b = 0.0
+        node_bound = bound_a if bound_a > bound_b else bound_b
 
-        overlap = sum((self.rest_a & self.rest_b).values())
-        edge_bound = self.min_edge_op * (
-            max(self.rest_a_total, self.rest_b_total) - overlap
-        )
-        return node_bound + edge_bound
-
-    # -- bookkeeping of not-yet-charged edges -------------------------------
-
-    def _settle_a(self, i: int, depth: int) -> Counter[str]:
-        settled: Counter[str] = Counter()
-        for j in self.nbr_a[i]:
-            if j >= depth:
-                continue
-            for key in ((i, j), (j, i)):
-                counts = self.adj_a.get(key)
-                if counts:
-                    settled.update(counts)
-        loops = self.adj_a.get((i, i))
-        if loops:
-            settled.update(loops)
-        self.rest_a.subtract(settled)
-        self.rest_a_total -= sum(settled.values())
-        return settled
-
-    def _settle_b(self, k: int) -> Counter[str]:
-        settled: Counter[str] = Counter()
-        for l in self.nbr_b[k]:
-            if not self.used[l]:
-                continue
-            for key in ((k, l), (l, k)):
-                counts = self.adj_b.get(key)
-                if counts:
-                    settled.update(counts)
-        loops = self.adj_b.get((k, k))
-        if loops:
-            settled.update(loops)
-        self.rest_b.subtract(settled)
-        self.rest_b_total -= sum(settled.values())
-        return settled
-
-    def _restore(self, rest: Counter[str], settled: Counter[str]) -> int:
-        rest.update(settled)
-        return sum(settled.values())
+        overlap = 0
+        for x, y in zip(self.rest_a, self.rest_b):
+            overlap += x if x < y else y
+        uncharged = max(self.rest_a_total, self.rest_b_total)
+        return node_bound + self.min_edge_op * (uncharged - overlap)
 
     # -- search --------------------------------------------------------------
 
@@ -350,28 +302,63 @@ class _MappingSearch:
             return
 
         i = depth
-        settled_a = self._settle_a(i, depth)
+        rest_a, rest_b, used = self.rest_a, self.rest_b, self.used
+        settled_a = self.settle_a[i]
+        for x in settled_a:
+            rest_a[x] -= 1
+        self.rest_a_total -= len(settled_a)
         for k in range(self.m):
-            if self.used[k]:
+            if used[k]:
                 continue
-            new_cost = cost + self._substitute_delta(i, k, depth)
+            new_cost = cost + self._substitute_delta(i, k)
             if new_cost >= self.best:
                 continue
             self.assign[i] = k
-            self.used[k] = True
+            used[k] = True
             self.preimage[k] = i
             self.matched += 1
-            settled_b = self._settle_b(k)
+            settled_b = self.edges_b[k][k] + tuple(
+                x for l, labels in self.links_b[k] if used[l] for x in labels
+            )
+            for x in settled_b:
+                rest_b[x] -= 1
+            self.rest_b_total -= len(settled_b)
             self._dfs(depth + 1, new_cost)
-            self.rest_b_total += self._restore(self.rest_b, settled_b)
+            for x in settled_b:
+                rest_b[x] += 1
+            self.rest_b_total += len(settled_b)
             self.matched -= 1
-            self.used[k] = False
+            used[k] = False
             self.assign[i] = _DELETED
-        new_cost = cost + self._delete_delta(i, depth)
+        new_cost = cost + (self.cm.node_delete + self.cm.edge_delete * len(settled_a))
         if new_cost < self.best:
             self.assign[i] = _DELETED
             self._dfs(depth + 1, new_cost)
-        self.rest_a_total += self._restore(self.rest_a, settled_a)
+        for x in settled_a:
+            rest_a[x] += 1
+        self.rest_a_total += len(settled_a)
+
+
+def _pair_edge_cost(
+    cm: CostModel, labels: list[str], ta: tuple[int, ...], tb: tuple[int, ...]
+) -> float:
+    """Cheapest edit of one pair's edges, sorted ids into ``labels``, into another's."""
+    if not ta:
+        return cm.edge_insert * len(tb)
+    if not tb:
+        return cm.edge_delete * len(ta)
+    rest_a = list(ta)
+    rest_b = []
+    for x in tb:
+        if x in rest_a:
+            rest_a.remove(x)
+        else:
+            rest_b.append(x)
+    if not rest_a and not rest_b:
+        return 0.0
+    return _match_with_ops(
+        cm, tuple(labels[x] for x in rest_a), tuple(labels[x] for x in rest_b)
+    )[0]
 
 
 def ged_astar(
@@ -400,9 +387,21 @@ def normalization_denominator(a: AUG, b: AUG, cm: CostModel) -> float:
     ) * cm.mcost_e
 
 
+_clamped = 0
+
+
+def take_clamp_count() -> int:
+    """Number of distance values clamped to 1.0 since the last call."""
+    global _clamped
+    count, _clamped = _clamped, 0
+    return count
+
+
 def _clamp_unit(value: float, context: str) -> float:
+    global _clamped
     if value > 1.0:
-        logger.warning("%s produced %.6f; clamping to 1.0", context, value)
+        logger.debug("%s produced %.6f; clamping to 1.0", context, value)
+        _clamped += 1
         return 1.0
     return max(0.0, value)
 

@@ -3,16 +3,24 @@
 Everything here trades speed for obviousness: exhaustive enumeration over
 mappings, matchings and paths, written without reusing any production code
 path, so the fast implementations can be checked against it exactly.
+
+The module also keeps the implementations that faster rewrites replaced (the
+character-by-character DOT tokenizer and the ``Counter``-based search), as
+differential oracles that the rewrites must agree with exactly.
 """
 
 from __future__ import annotations
 
 import re
+import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
-from augdist import AUG, CostModel, DotSyntaxError
+import numpy as np
+
+from augdist import AUG, CostModel, DotSyntaxError, GedTimeoutError
+from augdist.ged import _DELETED, GedResult, _DeadlineHit, _match_with_ops
 from augdist.graphs import Node
 
 
@@ -357,3 +365,279 @@ def reference_tokenize(text: str) -> list[_Token]:
             continue
         raise DotSyntaxError(f"unexpected character {ch!r} at offset {i}")
     return tokens
+
+
+# The branch-and-bound search as it was before its internals were integer-coded,
+# kept verbatim (bar the class name) as the oracle of a differential test: the
+# rewrite must return the same result through the same number of expansions.
+
+
+def _label_multiset(graph: AUG) -> Counter[str]:
+    return Counter(edge.label for edge in graph.edges)
+
+
+class ReferenceMappingSearch:
+    """Depth-first branch-and-bound over node mappings.
+
+    Nodes of ``a`` are decided in ascending-id order; each is matched to an
+    unused node of ``b`` (candidates in ascending id order) or deleted, with
+    insertion of leftover ``b`` nodes at the leaves. Edge costs are charged
+    when the second endpoint of an edge is decided, so the accumulated cost
+    of a partial mapping covers exactly the edges whose fate is fixed.
+
+    The remaining cost is bounded from below by (a) the larger of the two
+    per-node best-case bounds (every undecided source node pays at least its
+    cheapest substitution or a deletion; symmetrically for unused target
+    nodes) and (b) an edge-surplus bound: of the not-yet-charged edge
+    instances, at most the label-wise overlap can ever be matched for free,
+    and each of the remaining ``max(r_a, r_b) - overlap`` costs at least
+    ``min(edge_delete, edge_insert)``. Both bounds underestimate, so a
+    search that runs to completion is exact.
+    """
+
+    def __init__(self, a: AUG, b: AUG, cm: CostModel, deadline: float) -> None:
+        self.cm = cm
+        self.deadline = deadline
+        self.a_nodes = sorted(a.nodes, key=lambda n: n.id)
+        self.b_nodes = sorted(b.nodes, key=lambda n: n.id)
+        self.n = len(self.a_nodes)
+        self.m = len(self.b_nodes)
+
+        index_a = {node.id: i for i, node in enumerate(self.a_nodes)}
+        index_b = {node.id: k for k, node in enumerate(self.b_nodes)}
+        self.adj_a = self._indexed_adjacency(a, index_a)
+        self.adj_b = self._indexed_adjacency(b, index_b)
+        self.nbr_a = self._neighbors(self.adj_a, self.n)
+        self.nbr_b = self._neighbors(self.adj_b, self.m)
+
+        self.sub = [
+            [float(cm.node_substitute(u, v)) for v in self.b_nodes]
+            for u in self.a_nodes
+        ]
+        self.sub_np = np.array(self.sub, dtype=float) if self.n and self.m else None
+
+        self.rest_a = _label_multiset(a)
+        self.rest_b = _label_multiset(b)
+        self.rest_a_total = a.edge_count
+        self.rest_b_total = b.edge_count
+        self.min_edge_op = min(cm.edge_delete, cm.edge_insert)
+
+        self.assign = [_DELETED] * self.n
+        self.used = [False] * self.m
+        self.preimage = [_DELETED] * self.m
+        self.matched = 0
+        self.best = float("inf")
+        self.best_assign: list[int] | None = None
+        self.pair_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+
+    @staticmethod
+    def _indexed_adjacency(
+        graph: AUG, index: dict[str, int]
+    ) -> dict[tuple[int, int], Counter[str]]:
+        adjacency: dict[tuple[int, int], Counter[str]] = {}
+        for (source, target), counts in graph.edge_label_counts.items():
+            adjacency[(index[source], index[target])] = counts
+        return adjacency
+
+    @staticmethod
+    def _neighbors(
+        adjacency: dict[tuple[int, int], Counter[str]], size: int
+    ) -> list[list[int]]:
+        neighbor_sets: list[set[int]] = [set() for _ in range(size)]
+        for u, v in adjacency:
+            if u != v:
+                neighbor_sets[u].add(v)
+                neighbor_sets[v].add(u)
+        return [sorted(s) for s in neighbor_sets]
+
+    def run(self) -> GedResult:
+        try:
+            self._dfs(0, 0.0)
+            complete = True
+        except _DeadlineHit:
+            complete = False
+        if self.best_assign is None:
+            raise GedTimeoutError(
+                "deadline passed before any complete edit path was found"
+            )
+        mapping = self._mapping_ids(self.best_assign)
+        return GedResult(self.best, complete, mapping)
+
+    def _mapping_ids(
+        self, assign: list[int]
+    ) -> tuple[tuple[str | None, str | None], ...]:
+        pairs: list[tuple[str | None, str | None]] = []
+        chosen = set()
+        for i, k in enumerate(assign):
+            if k == _DELETED:
+                pairs.append((self.a_nodes[i].id, None))
+            else:
+                pairs.append((self.a_nodes[i].id, self.b_nodes[k].id))
+                chosen.add(k)
+        for k in range(self.m):
+            if k not in chosen:
+                pairs.append((None, self.b_nodes[k].id))
+        return tuple(pairs)
+
+    # -- cost pieces ------------------------------------------------------
+
+    def _pair_edge_cost(self, ca: Counter[str] | None, cb: Counter[str] | None) -> float:
+        """Cheapest way to edit one ordered pair's edge multiset into another."""
+        size_a = sum(ca.values()) if ca else 0
+        size_b = sum(cb.values()) if cb else 0
+        if not size_a:
+            return self.cm.edge_insert * size_b
+        if not size_b:
+            return self.cm.edge_delete * size_a
+        assert ca is not None and cb is not None
+        common = ca & cb
+        rest_a = tuple(sorted((ca - common).elements()))
+        rest_b = tuple(sorted((cb - common).elements()))
+        if not rest_a and not rest_b:
+            return 0.0
+        key = (rest_a, rest_b)
+        cached = self.pair_cache.get(key)
+        if cached is None:
+            cached = _match_with_ops(self.cm, rest_a, rest_b)[0]
+            self.pair_cache[key] = cached
+        return cached
+
+    def _substitute_delta(self, i: int, k: int, depth: int) -> float:
+        delta = self.sub[i][k]
+        relevant = {j for j in self.nbr_a[i] if j < depth}
+        for l in self.nbr_b[k]:
+            if self.used[l]:
+                relevant.add(self.preimage[l])
+        for j in relevant:
+            l = self.assign[j]
+            out_a = self.adj_a.get((i, j))
+            in_a = self.adj_a.get((j, i))
+            if l == _DELETED:
+                size = (sum(out_a.values()) if out_a else 0) + (
+                    sum(in_a.values()) if in_a else 0
+                )
+                delta += self.cm.edge_delete * size
+            else:
+                delta += self._pair_edge_cost(out_a, self.adj_b.get((k, l)))
+                delta += self._pair_edge_cost(in_a, self.adj_b.get((l, k)))
+        delta += self._pair_edge_cost(self.adj_a.get((i, i)), self.adj_b.get((k, k)))
+        return delta
+
+    def _delete_delta(self, i: int, depth: int) -> float:
+        delta = self.cm.node_delete
+        total = 0
+        for j in self.nbr_a[i]:
+            if j >= depth:
+                continue
+            for key in ((i, j), (j, i)):
+                counts = self.adj_a.get(key)
+                if counts:
+                    total += sum(counts.values())
+        loops = self.adj_a.get((i, i))
+        if loops:
+            total += sum(loops.values())
+        return delta + self.cm.edge_delete * total
+
+    # -- admissible lower bound -------------------------------------------
+
+    def _bound(self, depth: int) -> float:
+        available = [k for k in range(self.m) if not self.used[k]]
+        remaining = self.n - depth
+        if remaining and available:
+            assert self.sub_np is not None
+            block = self.sub_np[depth:, available]
+            bound_a = float(np.minimum(block.min(axis=1), self.cm.node_delete).sum())
+            bound_b = float(np.minimum(block.min(axis=0), self.cm.node_insert).sum())
+        elif remaining:
+            bound_a = remaining * self.cm.node_delete
+            bound_b = 0.0
+        else:
+            bound_a = 0.0
+            bound_b = len(available) * self.cm.node_insert
+        node_bound = max(bound_a, bound_b)
+
+        overlap = sum((self.rest_a & self.rest_b).values())
+        edge_bound = self.min_edge_op * (
+            max(self.rest_a_total, self.rest_b_total) - overlap
+        )
+        return node_bound + edge_bound
+
+    # -- bookkeeping of not-yet-charged edges -------------------------------
+
+    def _settle_a(self, i: int, depth: int) -> Counter[str]:
+        settled: Counter[str] = Counter()
+        for j in self.nbr_a[i]:
+            if j >= depth:
+                continue
+            for key in ((i, j), (j, i)):
+                counts = self.adj_a.get(key)
+                if counts:
+                    settled.update(counts)
+        loops = self.adj_a.get((i, i))
+        if loops:
+            settled.update(loops)
+        self.rest_a.subtract(settled)
+        self.rest_a_total -= sum(settled.values())
+        return settled
+
+    def _settle_b(self, k: int) -> Counter[str]:
+        settled: Counter[str] = Counter()
+        for l in self.nbr_b[k]:
+            if not self.used[l]:
+                continue
+            for key in ((k, l), (l, k)):
+                counts = self.adj_b.get(key)
+                if counts:
+                    settled.update(counts)
+        loops = self.adj_b.get((k, k))
+        if loops:
+            settled.update(loops)
+        self.rest_b.subtract(settled)
+        self.rest_b_total -= sum(settled.values())
+        return settled
+
+    def _restore(self, rest: Counter[str], settled: Counter[str]) -> int:
+        rest.update(settled)
+        return sum(settled.values())
+
+    # -- search --------------------------------------------------------------
+
+    def _dfs(self, depth: int, cost: float) -> None:
+        if time.monotonic() > self.deadline:
+            raise _DeadlineHit
+        if depth == self.n:
+            total = (
+                cost
+                + self.cm.node_insert * (self.m - self.matched)
+                + self.cm.edge_insert * self.rest_b_total
+            )
+            if total < self.best:
+                self.best = total
+                self.best_assign = list(self.assign)
+            return
+        if cost + self._bound(depth) >= self.best:
+            return
+
+        i = depth
+        settled_a = self._settle_a(i, depth)
+        for k in range(self.m):
+            if self.used[k]:
+                continue
+            new_cost = cost + self._substitute_delta(i, k, depth)
+            if new_cost >= self.best:
+                continue
+            self.assign[i] = k
+            self.used[k] = True
+            self.preimage[k] = i
+            self.matched += 1
+            settled_b = self._settle_b(k)
+            self._dfs(depth + 1, new_cost)
+            self.rest_b_total += self._restore(self.rest_b, settled_b)
+            self.matched -= 1
+            self.used[k] = False
+            self.assign[i] = _DELETED
+        new_cost = cost + self._delete_delta(i, depth)
+        if new_cost < self.best:
+            self.assign[i] = _DELETED
+            self._dfs(depth + 1, new_cost)
+        self.rest_a_total += self._restore(self.rest_a, settled_a)

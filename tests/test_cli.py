@@ -7,8 +7,8 @@ import pytest
 import augdist.cli as cli
 from augdist import load_corpus, load_rules, parse_aug, parse_rule
 from augdist.cli import ALGORITHMS, EXIT_INCOMPUTABLE, EXIT_PARSE, RunConfig, build_distance, main
-from augdist.ged import default_cost_model
-from oracles import brute_force_node_ged, oracle_exas_l1
+from augdist.ged import default_cost_model, normalization_denominator
+from oracles import brute_force_ged, brute_force_node_ged, oracle_exas_l1
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "corpus"
@@ -148,7 +148,10 @@ class TestCmdEvaluate:
         assert code == 0
         return out
 
-    @pytest.mark.parametrize("algorithm", ["hungarian-ged", "exas-l1"])
+    # the applicable count each algorithm reports on the bundled corpus
+    GOLDEN_APPLICABLE = {"hungarian-ged": "1/2", "exas-l1": "1/2", "astar-ged": "2/2"}
+
+    @pytest.mark.parametrize("algorithm", ["hungarian-ged", "exas-l1", "astar-ged"])
     def test_matches_committed_goldens(self, tmp_path, capsys, algorithm):
         out = self._run(tmp_path, algorithm)
         golden = GOLDEN / algorithm
@@ -158,7 +161,7 @@ class TestCmdEvaluate:
         fresh = [row[:2] for row in _read_rows(out / "timing.csv")]
         committed = [row[:2] for row in _read_rows(golden / "timing.csv")]
         assert fresh == committed
-        assert "applicable: 1/2" in capsys.readouterr().out
+        assert f"applicable: {self.GOLDEN_APPLICABLE[algorithm]}" in capsys.readouterr().out
 
     def test_two_runs_are_byte_identical(self, tmp_path, capsys):
         first = self._run(tmp_path, "hungarian-ged")
@@ -173,6 +176,13 @@ class TestCmdEvaluate:
         parallel = self._run(tmp_path, "exas-l1", extra=("--workers", "2"))
         for name in ("applicability.csv", "detection.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (parallel / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_clamped_values_summarized_in_one_warning(self, tmp_path, capsys, caplog, workers):
+        # disjoint graphs push the common-subgraph distance past 1 on 20 pairs
+        self._run(tmp_path, "hungarian-mcs", extra=("--workers", workers))
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert [m for m in warnings if "clamp" in m] == ["20 distance values clamped to 1.0"]
 
     def test_empty_rules_dir(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -360,6 +370,26 @@ class TestGoldenAgainstOracles:
         for column, expected_value in expected.items():
             golden_value = float(values[header.index(column)])
             assert golden_value == pytest.approx(expected_value, abs=5e-7)
+
+    def test_astar_golden_means_match_exhaustive_oracle(self):
+        cm = default_cost_model()
+        rule = parse_rule((CORPUS / "rules" / "rule_iter.dot").read_text(encoding="utf-8"))
+        entries = self._corpus_entries()
+
+        def oracle_dist(reference, entry):
+            return brute_force_ged(reference, entry, cm) / normalization_denominator(
+                reference, entry, cm
+            )
+
+        rows = _read_rows(GOLDEN / "astar-ged" / "applicability.csv")
+        header, values = rows[0], rows[1]
+        assert values[0] == "rule_iter"
+        for side_name, side in (("fix", rule.fix), ("misuse", rule.misuse)):
+            for label in ("correct", "misuse"):
+                group = [g for g, entry_label in entries.values() if entry_label == label]
+                expected = sum(oracle_dist(side, g) for g in group) / len(group)
+                golden_value = float(values[header.index(f"mean_{side_name}_to_{label}")])
+                assert golden_value == pytest.approx(expected, abs=5e-7)
 
     def test_exas_golden_means_match_feature_oracle(self):
         rule = parse_rule((CORPUS / "rules" / "rule_iter.dot").read_text(encoding="utf-8"))

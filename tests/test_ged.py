@@ -1,7 +1,10 @@
 import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from augdist import (
     AUG,
@@ -16,10 +19,11 @@ from augdist import (
     ged_hungarian,
     hungarian_assignment,
 )
-from augdist.ged import normalization_denominator
+from augdist.ged import _MappingSearch, normalization_denominator
+from augdist.mcs import mcs_cost_model
 from gen import random_aug, random_aug_pairs
 from helpers import aug
-from oracles import brute_force_ged, brute_force_node_ged
+from oracles import ReferenceMappingSearch, brute_force_ged, brute_force_node_ged
 
 ONE_ACTION = aug("one", [("n1", "A.m()", "action", "p.A")])
 RELABELED = aug("two", [("n1", "A.n()", "action", "p.A")])
@@ -96,6 +100,36 @@ class TestAstarAgainstOracle:
         short = ged_astar(a, b, timeout=0.02)
         long = ged_astar(a, b, timeout=1.0)
         assert short.cost >= long.cost
+
+
+def _counted_search(search_class, a, b, cm):
+    """Run one search with a 60 s deadline; return its result and expansions."""
+
+    class Counted(search_class):
+        expansions = 0
+
+        def _dfs(self, depth, cost):
+            self.expansions += 1
+            super()._dfs(depth, cost)
+
+    search = Counted(a, b, cm, time.monotonic() + 60.0)
+    return search.run(), search.expansions
+
+
+class TestSearchMatchesReference:
+    """The integer-coded search walks the same tree as the Counter-based one."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_same_result_and_expansions(self, seed):
+        rng = random.Random(seed)
+        a = random_aug(rng, "a", max_nodes=6, max_edges=8)
+        b = random_aug(rng, "b", max_nodes=6, max_edges=8)
+        for cm in (default_cost_model(), mcs_cost_model(a, b)):
+            expected, expected_expansions = _counted_search(ReferenceMappingSearch, a, b, cm)
+            result, expansions = _counted_search(_MappingSearch, a, b, cm)
+            assert result == expected
+            assert expansions == expected_expansions
 
 
 class TestHungarian:
