@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import exas, ged, mcs, node_similarity
+from . import exas, fallbacks, ged, mcs, node_similarity
 from .dot import parse_aug
 from .errors import (
     CorpusLayoutError,
@@ -65,6 +65,19 @@ ALGORITHMS = (
 )
 
 COSINE_MODES = ("corrected", "literal")
+
+# How each fallbacks count is logged: one summary line per `evaluate` run,
+# and one line for a `dist` call, in the order of fallbacks.take().
+_FALLBACK_SUMMARIES = (
+    "%d distance values clamped to 1.0",
+    "%d similarity iterations stopped at max-iter without converging",
+    "%d exact searches found no complete edit path in time; distance set to 1.0",
+)
+_FALLBACK_WARNINGS = (
+    "distance value clamped to 1.0",
+    "similarity iteration stopped at max-iter without converging",
+    "no complete edit path within the timeout; distance set to 1.0",
+)
 
 
 @dataclass(frozen=True)
@@ -222,14 +235,15 @@ def cmd_dist(file_a: Path, file_b: Path, config: RunConfig) -> int:
             print(f"error: cannot read graph from {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
     dist = build_distance(config)
-    ged.take_clamp_count()  # count this call's clamps only
+    fallbacks.take()  # count this call's fallbacks only
     try:
         value = dist(graphs[0], graphs[1])
     except (EmptyGraphError, DegenerateStructureError, GedTimeoutError) as exc:
         print(f"error: distance incomputable: {exc}", file=sys.stderr)
         return EXIT_INCOMPUTABLE
-    if ged.take_clamp_count():
-        logger.warning("distance value clamped to 1.0")
+    for count, message in zip(fallbacks.take(), _FALLBACK_WARNINGS):
+        if count:
+            logger.warning(message)
     print(f"{value:.6f}")
     return EXIT_OK
 
@@ -249,12 +263,13 @@ def _init_worker(config: RunConfig, dataset: Dataset) -> None:
 def _evaluate_rule(
     rule: CorrectionRule,
 ) -> tuple[
-    tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]], int
+    tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]],
+    tuple[int, int, int],
 ]:
-    """One rule's results and the number of its distance values clamped to 1.0."""
+    """One rule's results and its fallbacks counts, as ``fallbacks.take()``."""
     assert _WORKER_CONFIG is not None and _WORKER_DATASET is not None
     result = evaluate_rule(rule, _WORKER_DATASET, _WORKER_CONFIG)
-    return result, ged.take_clamp_count()
+    return result, fallbacks.take()
 
 
 def evaluate_rule(
@@ -294,7 +309,7 @@ def cmd_evaluate(
     results: list[
         tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]]
     ]
-    ged.take_clamp_count()  # count this run's clamps only
+    fallbacks.take()  # count this run's fallbacks only
     if config.workers > 1 and len(rules) > 1:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=config.workers,
@@ -303,12 +318,13 @@ def cmd_evaluate(
         ) as pool:
             outcomes = list(pool.map(_evaluate_rule, rules))
         results = [result for result, _ in outcomes]
-        clamped = sum(count for _, count in outcomes)
+        totals = [sum(column) for column in zip(*(counts for _, counts in outcomes))]
     else:
         results = [evaluate_rule(rule, dataset, config) for rule in rules]
-        clamped = ged.take_clamp_count()
-    if clamped:
-        logger.warning("%d distance values clamped to 1.0", clamped)
+        totals = fallbacks.take()
+    for total, summary in zip(totals, _FALLBACK_SUMMARIES):
+        if total:
+            logger.warning(summary, total)
 
     verdicts = [verdict for verdict, _, _ in results if verdict is not None]
     reports = [report for _, report, _ in results if report is not None]

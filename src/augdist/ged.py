@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import fallbacks
 from .errors import GedTimeoutError
 from .graphs import AUG, Node
 
@@ -387,21 +388,10 @@ def normalization_denominator(a: AUG, b: AUG, cm: CostModel) -> float:
     ) * cm.mcost_e
 
 
-_clamped = 0
-
-
-def take_clamp_count() -> int:
-    """Number of distance values clamped to 1.0 since the last call."""
-    global _clamped
-    count, _clamped = _clamped, 0
-    return count
-
-
 def _clamp_unit(value: float, context: str) -> float:
-    global _clamped
     if value > 1.0:
         logger.debug("%s produced %.6f; clamping to 1.0", context, value)
-        _clamped += 1
+        fallbacks.note(fallbacks.CLAMPED)
         return 1.0
     return max(0.0, value)
 
@@ -422,12 +412,13 @@ def dist_ged_astar(
     try:
         result = ged_astar(a, b, cm, timeout)
     except GedTimeoutError:
-        logger.warning(
+        logger.debug(
             "no complete edit path for %r vs %r within %.3fs; distance set to 1.0",
             a.name,
             b.name,
             timeout,
         )
+        fallbacks.note(fallbacks.TIMED_OUT)
         return 1.0
     value = result.cost / normalization_denominator(a, b, cm)
     return _clamp_unit(value, "normalized edit distance")

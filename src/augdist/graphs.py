@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import EmptyGraphError, SchemaError
 
 EMPTY_TYPE = "empty"
@@ -102,6 +104,22 @@ class AUG:
         for edge in self.edges:
             counts.setdefault((edge.source, edge.target), Counter())[edge.label] += 1
         return counts
+
+    @cached_property
+    def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source and target positions of the distinct ordered node pairs
+        joined by an edge, sorted, with nodes numbered in ascending-id order.
+
+        The two arrays are read-only, since the graph is shared.
+        """
+        order = {node_id: i for i, node_id in enumerate(sorted(self.nodes_by_id))}
+        pairs = sorted(
+            (order[source], order[target]) for source, target in self.edge_label_counts
+        )
+        sources = np.array([source for source, _ in pairs], dtype=np.intp)
+        targets = np.array([target for _, target in pairs], dtype=np.intp)
+        sources.flags.writeable = targets.flags.writeable = False
+        return sources, targets
 
     def require_non_empty(self) -> None:
         if self.is_empty:

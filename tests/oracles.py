@@ -5,12 +5,14 @@ mappings, matchings and paths, written without reusing any production code
 path, so the fast implementations can be checked against it exactly.
 
 The module also keeps the implementations that faster rewrites replaced (the
-character-by-character DOT tokenizer and the ``Counter``-based search), as
-differential oracles that the rewrites must agree with exactly.
+character-by-character DOT tokenizer, the ``Counter``-based search and the
+dense-matrix node-similarity iteration), as differential oracles that the
+rewrites must agree with.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from collections import Counter
@@ -19,9 +21,17 @@ from itertools import product
 
 import numpy as np
 
-from augdist import AUG, CostModel, DotSyntaxError, GedTimeoutError
+from augdist import (
+    AUG,
+    CostModel,
+    DegenerateStructureError,
+    DotSyntaxError,
+    GedTimeoutError,
+    SimilarityMatrix,
+)
 from augdist.ged import _DELETED, GedResult, _DeadlineHit, _match_with_ops
 from augdist.graphs import Node
+from augdist.node_similarity import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
 def _edge_labels_between(graph: AUG) -> dict[tuple[str, str], list[str]]:
@@ -291,6 +301,63 @@ def best_assignment_mean(matrix) -> float:
         return best
 
     return extend(0, frozenset(), 0) / size
+
+
+# The node-similarity iteration as it was before it ran on edge pairs, kept
+# verbatim (bar the function name) as the oracle of a differential test: the
+# rewrite must give the same iterates up to the order of summation.
+
+
+def _binary_adjacency(graph: AUG) -> np.ndarray:
+    order = {node.id: i for i, node in enumerate(sorted(graph.nodes, key=lambda n: n.id))}
+    matrix = np.zeros((len(order), len(order)))
+    for source, target in graph.edge_label_counts:
+        matrix[order[source], order[target]] = 1.0
+    return matrix
+
+
+def reference_similarity_matrix(
+    a: AUG,
+    b: AUG,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> SimilarityMatrix:
+    """Iterate the coupled update until even-step differences fall below tol.
+
+    Starting from a (normalized) all-ones matrix, each step applies
+    ``S <- B S A^T + B^T S A`` with A, B the binary adjacency matrices, then
+    rescales to unit Frobenius norm. Convergence is checked between
+    consecutive even iterates because odd and even iterates approach two
+    different accumulation points.
+    """
+    a.require_non_empty()
+    b.require_non_empty()
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 2 or max_iter % 2:
+        raise ValueError("max_iter must be an even number >= 2")
+
+    adj_a = _binary_adjacency(a)
+    adj_b = _binary_adjacency(b)
+    current = np.ones((b.node_count, a.node_count))
+    current /= np.linalg.norm(current)
+    previous_even = current
+
+    for iteration in range(1, max_iter + 1):
+        update = adj_b @ current @ adj_a.T + adj_b.T @ current @ adj_a
+        flat = update.ravel()
+        norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own path, minus its dispatch
+        if norm == 0.0 or not math.isfinite(norm):
+            raise DegenerateStructureError(
+                f"similarity update collapsed to zero for {a.name!r} vs {b.name!r}"
+            )
+        current = update / norm
+        if iteration % 2 == 0:
+            flat = (current - previous_even).ravel()
+            if math.sqrt(flat.dot(flat)) < tol:
+                return SimilarityMatrix(current, iteration, True)
+            previous_even = current
+    return SimilarityMatrix(current, max_iter, False)
 
 
 _ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")

@@ -108,6 +108,14 @@ class TestCmdDist:
         assert main(["dist", str(a), str(b), "-a", "node-sim"]) == EXIT_INCOMPUTABLE
         assert "incomputable" in capsys.readouterr().err
 
+    def test_search_timeout_warns_once(self, tmp_path, capsys, caplog):
+        a = _write(tmp_path, "a.dot", SINGLE)
+        b = _write(tmp_path, "b.dot", RELABELED)
+        assert main(["dist", str(a), str(b), "-a", "astar-ged", "--timeout", "1e-9"]) == 0
+        assert capsys.readouterr().out.strip() == "1.000000"
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["no complete edit path within the timeout; distance set to 1.0"]
+
     def test_env_override_supplies_algorithm(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AUGDIST_ALGORITHM", "hungarian-ged")
         a = _write(tmp_path, "a.dot", SINGLE)
@@ -149,9 +157,14 @@ class TestCmdEvaluate:
         return out
 
     # the applicable count each algorithm reports on the bundled corpus
-    GOLDEN_APPLICABLE = {"hungarian-ged": "1/2", "exas-l1": "1/2", "astar-ged": "2/2"}
+    GOLDEN_APPLICABLE = {
+        "hungarian-ged": "1/2",
+        "exas-l1": "1/2",
+        "astar-ged": "2/2",
+        "node-sim": "0/2",
+    }
 
-    @pytest.mark.parametrize("algorithm", ["hungarian-ged", "exas-l1", "astar-ged"])
+    @pytest.mark.parametrize("algorithm", ["hungarian-ged", "exas-l1", "astar-ged", "node-sim"])
     def test_matches_committed_goldens(self, tmp_path, capsys, algorithm):
         out = self._run(tmp_path, algorithm)
         golden = GOLDEN / algorithm
@@ -183,6 +196,33 @@ class TestCmdEvaluate:
         self._run(tmp_path, "hungarian-mcs", extra=("--workers", workers))
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert [m for m in warnings if "clamp" in m] == ["20 distance values clamped to 1.0"]
+
+    # Each option makes every one of the 32 (rule side, entry) pairs fall back:
+    # two iterations never pass the even-step check, and a nanosecond deadline
+    # has passed before the first expansion.
+    @pytest.mark.parametrize(
+        "algorithm, option, summary",
+        [
+            (
+                "node-sim",
+                ("--max-iter", "2"),
+                "32 similarity iterations stopped at max-iter without converging",
+            ),
+            (
+                "astar-ged",
+                ("--timeout", "1e-9"),
+                "32 exact searches found no complete edit path in time; distance set to 1.0",
+            ),
+        ],
+        ids=["node-sim", "astar-ged"],
+    )
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_fallbacks_summarized_in_one_warning(
+        self, tmp_path, capsys, caplog, workers, algorithm, option, summary
+    ):
+        self._run(tmp_path, algorithm, extra=(*option, "--workers", workers))
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [summary]
 
     def test_empty_rules_dir(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

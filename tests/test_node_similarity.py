@@ -3,15 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from augdist import (
     DegenerateStructureError,
     dist_node_sim,
     similarity_matrix,
 )
+from augdist.graphs import AUG, Edge, Node
 from gen import random_aug
 from helpers import aug
-from oracles import best_assignment_mean, dense_node_similarity
+from oracles import best_assignment_mean, dense_node_similarity, reference_similarity_matrix
 
 SINGLE_EDGE_A = aug(
     "a", [("u", "P", "action", ""), ("v", "Q", "action", "")], [("u", "v", "order")]
@@ -135,3 +139,51 @@ class TestDistance:
         # not a strict-monotonicity claim; later even iterates stay close
         assert np.linalg.norm(fine.entries) == pytest.approx(1.0)
         assert coarse.entries.shape == fine.entries.shape
+
+
+@st.composite
+def _graphs(draw, name):
+    """Up to 8 nodes whose id order differs from their listing order, and up
+    to 14 edges: self-loops, parallel edges and edgeless graphs included."""
+    ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=8, unique=True))
+    nodes = tuple(Node(f"n{i}", "L", "action") for i in ids)
+    edges = tuple(
+        Edge(draw(st.sampled_from(nodes)).id, draw(st.sampled_from(nodes)).id, "order")
+        for _ in range(draw(st.integers(0, 14)))
+    )
+    return AUG(name, nodes, edges)
+
+
+def _outcome(kernel, a, b, max_iter):
+    try:
+        return kernel(a, b, max_iter=max_iter)
+    except DegenerateStructureError:
+        return None
+
+
+class TestMatchesDenseReference:
+    """The edge-pair step gives the dense products' iterates, up to the order
+    in which each entry's terms are summed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs("a"), _graphs("b"), st.sampled_from([2, 6, 100]))
+    @example(SINGLE_EDGE_A, SINGLE_EDGE_B, 100)
+    @example(aug("l", [("n", "A", "data", "")]), SINGLE_EDGE_B, 100)
+    def test_same_iterates(self, a, b, max_iter):
+        expected = _outcome(reference_similarity_matrix, a, b, max_iter)
+        result = _outcome(similarity_matrix, a, b, max_iter)
+        if expected is None:
+            assert result is None
+            with pytest.raises(DegenerateStructureError):
+                dist_node_sim(a, b, max_iter=max_iter)
+            return
+        assert result is not None
+        assert (result.iterations_run, result.converged) == (
+            expected.iterations_run,
+            expected.converged,
+        )
+        assert result.entries.shape == expected.entries.shape
+        assert np.abs(result.entries - expected.entries).max() <= 1e-12
+        rows, cols = linear_sum_assignment(expected.entries, maximize=True)
+        expected_distance = min(1.0, max(0.0, 1.0 - expected.entries[rows, cols].mean()))
+        assert abs(dist_node_sim(a, b, max_iter=max_iter) - expected_distance) <= 1e-12

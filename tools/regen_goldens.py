@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "corpus"
 GOLDEN = ROOT / "tests" / "data" / "golden"
 
-ALGORITHMS = ("hungarian-ged", "exas-l1", "astar-ged")
+ALGORITHMS = ("hungarian-ged", "exas-l1", "astar-ged", "node-sim")
 
 
 def regenerate() -> None:
