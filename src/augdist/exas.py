@@ -6,18 +6,22 @@ to four nodes. Single-node paths are omitted because the degree features
 already cover them. Paths are simple (no node revisited), follow edge
 direction, and are enumerated over edge instances, so parallel edges
 contribute separate occurrences of the same feature key.
+
+Each graph's vector is counted once, as ``AUG.feature_counts``, and each
+graph is split by package once, as ``AUG.api_parts``; a distance only
+compares prepared vectors. The L1 distance is an exact integer sum over the
+union of feature keys, rounded once by each of its two divisions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
-from typing import Callable, Literal
+from typing import Callable, Literal, get_args
 
 import numpy as np
 
-from .graphs import AUG, Edge, split_by_api
+from .graphs import AUG, Edge
 
 # ("pq", label, node_type, in_degree, out_degree) or
 # ("path", label0, edge_label0, label1, ..., labelN)
@@ -30,8 +34,9 @@ CosineMode = Literal["corrected", "literal"]
 SplitBase = Literal["l1", "cosine"]
 
 
-@lru_cache(maxsize=512)
-def _extract_cached(graph: AUG) -> tuple[tuple[Feature, int], ...]:
+def extract_features(graph: AUG) -> FeatureVector:
+    """Count every degree-annotated node and every simple 2..4-node path."""
+    graph.require_non_empty()
     indegree: Counter[str] = Counter()
     outdegree: Counter[str] = Counter()
     out_edges: dict[str, list[Edge]] = {node.id: [] for node in graph.nodes}
@@ -57,13 +62,7 @@ def _extract_cached(graph: AUG) -> tuple[tuple[Feature, int], ...]:
 
     for node in graph.nodes:
         walk(node.id, {node.id}, (node.label,))
-    return tuple(sorted(counts.items()))
-
-
-def extract_features(graph: AUG) -> FeatureVector:
-    """Count every degree-annotated node and every simple 2..4-node path."""
-    graph.require_non_empty()
-    return Counter(dict(_extract_cached(graph)))
+    return counts
 
 
 def sub_super(
@@ -83,10 +82,30 @@ def sub_super(
     return sub_a, sub_b, super_a, super_b
 
 
-def _l1_of_supers(super_a: np.ndarray, super_b: np.ndarray) -> float:
-    diff = super_a - super_b
-    scale = max(1.0, float(np.abs(diff).max(initial=0.0)))
-    return float(np.abs(diff / scale).sum() / len(diff))
+def _check_cosine_options(lam: float, mode: str) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must be within [0, 1]")
+    if mode not in get_args(CosineMode):
+        raise ValueError(f"unknown cosine mode {mode!r}")
+
+
+def _cosine(
+    vec_a: dict[Feature, int], vec_b: dict[Feature, int], lam: float, mode: str
+) -> float:
+    shared = vec_a.keys() & vec_b.keys()
+    shared_fraction = len(shared) / len(vec_a)
+    if shared:
+        # integer arithmetic keeps cos(v, v) == 1 exactly: the squared norms
+        # multiply to a perfect square, whose float sqrt is the exact dot
+        dot = sum(vec_a[key] * vec_b[key] for key in shared)
+        square_a = sum(vec_a[key] ** 2 for key in shared)
+        square_b = sum(vec_b[key] ** 2 for key in shared)
+        cosine = dot / math.sqrt(square_a * square_b)
+    else:
+        cosine = 0.0
+    first = shared_fraction if mode == "literal" else 1.0 - shared_fraction
+    value = lam * first + (1.0 - lam) * (1.0 - cosine)
+    return min(1.0, max(0.0, value))
 
 
 def dist_exas_l1(a: AUG, b: AUG) -> float:
@@ -98,8 +117,10 @@ def dist_exas_l1(a: AUG, b: AUG) -> float:
     """
     a.require_non_empty()
     b.require_non_empty()
-    _, _, super_a, super_b = sub_super(extract_features(a), extract_features(b))
-    return _l1_of_supers(super_a, super_b)
+    vec_a, vec_b = a.feature_counts, b.feature_counts
+    diffs = [abs(count - vec_b.get(key, 0)) for key, count in vec_a.items()]
+    diffs.extend(count for key, count in vec_b.items() if key not in vec_a)
+    return sum(diffs) / max(1, max(diffs)) / len(diffs)
 
 
 def dist_exas_cosine(
@@ -119,24 +140,8 @@ def dist_exas_cosine(
     """
     a.require_non_empty()
     b.require_non_empty()
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must be within [0, 1]")
-    vec_a = extract_features(a)
-    vec_b = extract_features(b)
-    shared = sorted(vec_a.keys() & vec_b.keys())
-    shared_fraction = len(shared) / len(vec_a)
-    if shared:
-        # integer arithmetic keeps cos(v, v) == 1 exactly: the squared norms
-        # multiply to a perfect square, whose float sqrt is the exact dot
-        dot = sum(vec_a[key] * vec_b[key] for key in shared)
-        square_a = sum(vec_a[key] ** 2 for key in shared)
-        square_b = sum(vec_b[key] ** 2 for key in shared)
-        cosine = dot / math.sqrt(square_a * square_b)
-    else:
-        cosine = 0.0
-    first = shared_fraction if mode == "literal" else 1.0 - shared_fraction
-    value = lam * first + (1.0 - lam) * (1.0 - cosine)
-    return min(1.0, max(0.0, value))
+    _check_cosine_options(lam, mode)
+    return _cosine(a.feature_counts, b.feature_counts, lam, mode)
 
 
 def split_distance(a: AUG, b: AUG, base: Callable[[AUG, AUG], float]) -> float:
@@ -147,11 +152,13 @@ def split_distance(a: AUG, b: AUG, base: Callable[[AUG, AUG], float]) -> float:
     When nothing survives, the graphs share no comparable usage and the
     distance is 1.
     """
-    parts_a = split_by_api(a)
-    parts_b = split_by_api(b)
+    parts_b = dict(b.api_parts)
     survivors = []
-    for package in sorted(parts_a.keys() & parts_b.keys()):
-        value = base(parts_a[package], parts_b[package])
+    for package, part_a in a.api_parts:
+        part_b = parts_b.get(package)
+        if part_b is None:
+            continue
+        value = base(part_a, part_b)
         if value != 1.0:
             survivors.append(value)
     if not survivors:
@@ -169,13 +176,14 @@ def dist_exas_split(
     """Per-package split variant of the L1 or cosine vector distance."""
     a.require_non_empty()
     b.require_non_empty()
+    if base not in get_args(SplitBase):
+        raise ValueError(f"unknown base distance {base!r}")
+    _check_cosine_options(lam, mode)
     if base == "l1":
         return split_distance(a, b, dist_exas_l1)
-    if base == "cosine":
-        return split_distance(
-            a, b, lambda pa, pb: dist_exas_cosine(pa, pb, lam=lam, mode=mode)
-        )
-    raise ValueError(f"unknown base distance {base!r}")
+    return split_distance(
+        a, b, lambda pa, pb: _cosine(pa.feature_counts, pb.feature_counts, lam, mode)
+    )
 
 
 def feature_lines(vector: FeatureVector) -> list[str]:

@@ -121,6 +121,25 @@ class AUG:
         sources.flags.writeable = targets.flags.writeable = False
         return sources, targets
 
+    @cached_property
+    def feature_counts(self) -> dict[tuple, int]:
+        """The exas feature vector, counted once per graph.
+
+        A plain dict for fast lookups; callers must not mutate it, since the
+        graph is shared.
+        """
+        from . import exas  # exas imports this module
+
+        return dict(exas.extract_features(self))
+
+    @cached_property
+    def api_parts(self) -> tuple[tuple[str, AUG], ...]:
+        """The per-package subgraphs, split once and sorted by package.
+
+        Each part caches its own ``feature_counts``.
+        """
+        return tuple(sorted(split_by_api(self).items()))
+
     def require_non_empty(self) -> None:
         if self.is_empty:
             raise EmptyGraphError(f"graph {self.name!r} has no nodes")

@@ -5,9 +5,9 @@ mappings, matchings and paths, written without reusing any production code
 path, so the fast implementations can be checked against it exactly.
 
 The module also keeps the implementations that faster rewrites replaced (the
-character-by-character DOT tokenizer, the ``Counter``-based search and the
-dense-matrix node-similarity iteration), as differential oracles that the
-rewrites must agree with.
+character-by-character DOT tokenizer, the ``Counter``-based search, the
+dense-matrix node-similarity iteration and the per-pair exas distances), as
+differential oracles that the rewrites must agree with.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +30,9 @@ from augdist import (
     GedTimeoutError,
     SimilarityMatrix,
 )
+from augdist.exas import CosineMode, extract_features, sub_super
 from augdist.ged import _DELETED, GedResult, _DeadlineHit, _match_with_ops
-from augdist.graphs import Node
+from augdist.graphs import Node, split_by_api
 from augdist.node_similarity import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
@@ -358,6 +360,88 @@ def reference_similarity_matrix(
                 return SimilarityMatrix(current, iteration, True)
             previous_even = current
     return SimilarityMatrix(current, max_iter, False)
+
+
+# The exas distances as they were before each graph's feature vector and
+# package split became cached properties, kept verbatim (bar the function
+# names) as the oracles of a differential test: every pair re-extracts both
+# vectors, sorts their keys and splits both graphs again.
+
+
+def _l1_of_supers(super_a: np.ndarray, super_b: np.ndarray) -> float:
+    diff = super_a - super_b
+    scale = max(1.0, float(np.abs(diff).max(initial=0.0)))
+    return float(np.abs(diff / scale).sum() / len(diff))
+
+
+def reference_dist_exas_l1(a: AUG, b: AUG) -> float:
+    """Mean absolute value of the max-normalized super-vector difference.
+
+    The plain 1-norm of the normalized difference grows with the number of
+    features; dividing by the vector length keeps the result in [0, 1] and 1
+    exactly means no feature is shared at equal scale.
+    """
+    a.require_non_empty()
+    b.require_non_empty()
+    _, _, super_a, super_b = sub_super(extract_features(a), extract_features(b))
+    return _l1_of_supers(super_a, super_b)
+
+
+def reference_dist_exas_cosine(
+    a: AUG,
+    b: AUG,
+    lam: float = 0.5,
+    mode: CosineMode = "corrected",
+) -> float:
+    """Blend of shared-feature proportion and sub-vector cosine distance.
+
+    The first argument is the reference side: the shared proportion is taken
+    against its feature count, so the measure is asymmetric. In the default
+    corrected mode identical graphs score 0 (the weight multiplies the
+    complement of the shared proportion); literal mode keeps the shared
+    proportion itself as the first term, which scores identical graphs at
+    ``lam`` and exists for fidelity experiments.
+    """
+    a.require_non_empty()
+    b.require_non_empty()
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must be within [0, 1]")
+    vec_a = extract_features(a)
+    vec_b = extract_features(b)
+    shared = sorted(vec_a.keys() & vec_b.keys())
+    shared_fraction = len(shared) / len(vec_a)
+    if shared:
+        # integer arithmetic keeps cos(v, v) == 1 exactly: the squared norms
+        # multiply to a perfect square, whose float sqrt is the exact dot
+        dot = sum(vec_a[key] * vec_b[key] for key in shared)
+        square_a = sum(vec_a[key] ** 2 for key in shared)
+        square_b = sum(vec_b[key] ** 2 for key in shared)
+        cosine = dot / math.sqrt(square_a * square_b)
+    else:
+        cosine = 0.0
+    first = shared_fraction if mode == "literal" else 1.0 - shared_fraction
+    value = lam * first + (1.0 - lam) * (1.0 - cosine)
+    return min(1.0, max(0.0, value))
+
+
+def reference_split_distance(a: AUG, b: AUG, base: Callable[[AUG, AUG], float]) -> float:
+    """Average a base distance over per-package subgraph pairs.
+
+    Packages present on only one side are skipped, as are sub-distances of
+    exactly 1: both indicate unrelated API usage that would only add noise.
+    When nothing survives, the graphs share no comparable usage and the
+    distance is 1.
+    """
+    parts_a = split_by_api(a)
+    parts_b = split_by_api(b)
+    survivors = []
+    for package in sorted(parts_a.keys() & parts_b.keys()):
+        value = base(parts_a[package], parts_b[package])
+        if value != 1.0:
+            survivors.append(value)
+    if not survivors:
+        return 1.0
+    return float(sum(survivors) / len(survivors))
 
 
 _ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")

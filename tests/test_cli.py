@@ -162,9 +162,13 @@ class TestCmdEvaluate:
         "exas-l1": "1/2",
         "astar-ged": "2/2",
         "node-sim": "0/2",
+        "hungarian-mcs": "0/2",
+        "exas-cosine": "1/2",
+        "exas-split-l1": "1/2",
+        "exas-split-cosine": "1/2",
     }
 
-    @pytest.mark.parametrize("algorithm", ["hungarian-ged", "exas-l1", "astar-ged", "node-sim"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_matches_committed_goldens(self, tmp_path, capsys, algorithm):
         out = self._run(tmp_path, algorithm)
         golden = GOLDEN / algorithm
@@ -183,10 +187,11 @@ class TestCmdEvaluate:
         for name in ("applicability.csv", "detection.csv"):
             assert (tmp_path / "first" / name).read_bytes() == (second / name).read_bytes()
 
-    def test_worker_pool_matches_serial_run(self, tmp_path, capsys):
-        serial = self._run(tmp_path, "exas-l1")
+    @pytest.mark.parametrize("algorithm", ["exas-l1", "exas-split-cosine"])
+    def test_worker_pool_matches_serial_run(self, tmp_path, capsys, algorithm):
+        serial = self._run(tmp_path, algorithm)
         shutil.move(serial, tmp_path / "serial")
-        parallel = self._run(tmp_path, "exas-l1", extra=("--workers", "2"))
+        parallel = self._run(tmp_path, algorithm, extra=("--workers", "2"))
         for name in ("applicability.csv", "detection.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (parallel / name).read_bytes()
 

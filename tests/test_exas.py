@@ -1,7 +1,10 @@
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from augdist import (
     EmptyGraphError,
@@ -11,11 +14,18 @@ from augdist import (
     extract_features,
     sub_super,
 )
+from augdist import exas, graphs
 from augdist.exas import feature_lines, split_distance
-from augdist.graphs import AUG, package_of
+from augdist.graphs import AUG, Edge, Node, package_of, split_by_api
 from gen import random_aug_pairs
 from helpers import aug
-from oracles import enumerate_path_features
+from oracles import (
+    enumerate_path_features,
+    oracle_exas_l1,
+    reference_dist_exas_cosine,
+    reference_dist_exas_l1,
+    reference_split_distance,
+)
 
 SINGLE = aug("s", [("n", "A.m()", "action", "p.A")])
 PAIR = aug(
@@ -172,6 +182,10 @@ class TestCosine:
         with pytest.raises(ValueError):
             dist_exas_cosine(PAIR, PAIR, lam=1.5)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="cosine mode"):
+            dist_exas_cosine(PAIR, PAIR, mode="bogus")
+
     def test_asymmetry_allowed_but_range_holds(self):
         for a, b in random_aug_pairs(seed=83, count=40, max_nodes=5, max_edges=6):
             assert 0.0 <= dist_exas_cosine(a, b) <= 1.0
@@ -232,6 +246,155 @@ class TestSplit:
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError):
             dist_exas_split(PAIR, PAIR, base="manhattan")
+
+    @pytest.mark.parametrize("options", [{"lam": 5.0}, {"mode": "bogus"}])
+    def test_cosine_options_validated_without_a_shared_package(self, options):
+        a = aug("a", [("x", "A", "data", "p.A")])
+        b = aug("b", [("y", "B", "data", "q.B")])
+        with pytest.raises(ValueError):
+            dist_exas_split(a, b, base="cosine", **options)
+
+
+LABELS = ("A", "B", "A.m()")
+# two packages plus the three spellings that land in the misc bucket
+APIS = ("p.A", "p.B", "q.C", "", "UNKNOWN", "Bare")
+
+# parallel edges, a self-loop and a shared path over two packages and misc
+MIXED = aug(
+    "mixed",
+    [
+        ("u", "A", "data", "p.A"),
+        ("v", "A.m()", "action", "p.A"),
+        ("w", "B", "data", "q.C"),
+        ("x", "B", "data", ""),
+    ],
+    [
+        ("u", "v", "recv"),
+        ("u", "v", "recv"),
+        ("v", "v", "order"),
+        ("v", "w", "order"),
+        ("w", "x", "recv"),
+    ],
+)
+MIXED_OTHER = aug(
+    "other",
+    [("u", "A", "data", "p.A"), ("v", "A.m()", "action", "p.A"), ("x", "B", "data", "Bare")],
+    [("u", "v", "recv"), ("x", "x", "order")],
+)
+
+
+@st.composite
+def _graphs(draw, name):
+    """Up to 7 nodes over few labels and packages, the misc bucket included,
+    and up to 12 edges: self-loops and parallel edges included."""
+    count = draw(st.integers(1, 7))
+    nodes = tuple(
+        Node(
+            f"n{i}",
+            draw(st.sampled_from(LABELS)),
+            draw(st.sampled_from(("action", "data"))),
+            draw(st.sampled_from(APIS)),
+        )
+        for i in range(count)
+    )
+    edges = tuple(
+        Edge(
+            f"n{draw(st.integers(0, count - 1))}",
+            f"n{draw(st.integers(0, count - 1))}",
+            draw(st.sampled_from(("recv", "order"))),
+        )
+        for _ in range(draw(st.integers(0, 12)))
+    )
+    return AUG(name, nodes, edges)
+
+
+def _unprepared(graph):
+    return AUG(graph.name, graph.nodes, graph.edges)
+
+
+def _all_distances(a, b):
+    return (
+        dist_exas_l1(a, b),
+        dist_exas_cosine(a, b, lam=0.3, mode="literal"),
+        dist_exas_split(a, b, base="l1"),
+        dist_exas_split(a, b, base="cosine"),
+    )
+
+
+class TestMatchesPerPairReference:
+    """Prepared vectors and splits give the per-pair code's values: cosine
+    exactly, L1 up to the rounding of its terms, which the per-pair code
+    divided one by one before a float sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _graphs("a"),
+        _graphs("b"),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.sampled_from(["corrected", "literal"]),
+    )
+    @example(MIXED, MIXED_OTHER, 0.5, "corrected")
+    @example(MIXED_OTHER, MIXED, 0.3, "literal")
+    def test_same_values(self, a, b, lam, mode):
+        def reference_cosine(pa, pb):
+            return reference_dist_exas_cosine(pa, pb, lam=lam, mode=mode)
+
+        assert dist_exas_cosine(a, b, lam=lam, mode=mode) == reference_cosine(a, b)
+        assert dist_exas_split(
+            a, b, base="cosine", lam=lam, mode=mode
+        ) == reference_split_distance(a, b, reference_cosine)
+
+        l1 = dist_exas_l1(a, b)
+        assert abs(l1 - reference_dist_exas_l1(a, b)) <= 1e-12
+        assert abs(l1 - oracle_exas_l1(a, b)) <= 1e-12
+        split_l1 = dist_exas_split(a, b, base="l1")
+        assert abs(split_l1 - reference_split_distance(a, b, reference_dist_exas_l1)) <= 1e-12
+        assert abs(split_l1 - reference_split_distance(a, b, oracle_exas_l1)) <= 1e-12
+
+
+class TestPreparedGraphs:
+    def test_prepared_data_matches_the_extractors(self):
+        assert MIXED.feature_counts == extract_features(MIXED)
+        assert type(MIXED.feature_counts) is dict
+        parts = split_by_api(MIXED)
+        assert [package for package, _ in MIXED.api_parts] == sorted(parts)
+        for package, part in MIXED.api_parts:
+            assert part == parts[package]
+            assert part.feature_counts == extract_features(parts[package])
+
+    def test_each_graph_prepared_once_through_module_attributes(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(graph):
+                calls[name, graph.name] += 1
+                return original(graph)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(exas, "extract_features")
+        count(graphs, "split_by_api")
+        pairs = random_aug_pairs(seed=103, count=6, max_nodes=6, max_edges=8)
+        pool = [graph for pair in pairs for graph in pair]
+        for a in pool:
+            for b in pool:
+                _all_distances(a, b)
+        assert set(calls.values()) == {1}
+        assert {name for kind, name in calls if kind == "split_by_api"} == {g.name for g in pool}
+
+    def test_pickled_prepared_graph_keeps_its_distances(self):
+        for a, b in random_aug_pairs(seed=101, count=30, max_nodes=6, max_edges=8):
+            a.feature_counts
+            for _, part in a.api_parts:
+                part.feature_counts
+            restored = pickle.loads(pickle.dumps(a))
+            assert {"feature_counts", "api_parts"} <= vars(restored).keys()
+            assert all("feature_counts" in vars(part) for _, part in restored.api_parts)
+            fresh_a, fresh_b = _unprepared(a), _unprepared(b)
+            assert _all_distances(restored, b) == _all_distances(fresh_a, fresh_b)
+            assert _all_distances(b, restored) == _all_distances(fresh_b, fresh_a)
 
 
 class TestFeatureLines:

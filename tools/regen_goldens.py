@@ -10,13 +10,11 @@ Timing values differ run to run; the golden comparison ignores them.
 
 from pathlib import Path
 
-from augdist.cli import main
+from augdist.cli import ALGORITHMS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "corpus"
 GOLDEN = ROOT / "tests" / "data" / "golden"
-
-ALGORITHMS = ("hungarian-ged", "exas-l1", "astar-ged", "node-sim")
 
 
 def regenerate() -> None:
