@@ -98,11 +98,11 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.cosine_mode not in COSINE_MODES:
             raise ValueError(f"unknown cosine mode {self.cosine_mode!r}")
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be within [0, 1]")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 2 or self.max_iter % 2:
             raise ValueError("max-iter must be an even number >= 2")

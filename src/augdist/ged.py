@@ -4,6 +4,16 @@ Two route families over a shared cost model: an exact-leaning depth-first
 branch-and-bound search over node mappings with admissible pruning and a
 wall-clock deadline, and the bipartite node-assignment approximation solved
 as a linear sum assignment (node costs only).
+
+The assignment needs no padded (n+m)×(n+m) matrix: deletion and insertion
+costs are scalars, so every partial node matching P costs
+``n·node_delete + m·node_insert + Σ_P gain`` with ``gain = substitute -
+node_delete - node_insert``. Clipping the n×m gains at 0 makes the best full
+matching of the rectangular matrix as cheap as the best partial matching,
+and a picked cell of gain 0 stands for an unmatched pair: a substitution
+costing exactly a deletion plus an insertion is reported as a deletion and
+an insertion (Serratosa 2014, *Fast computation of Bipartite graph
+matching*).
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import logging
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product, starmap
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -137,8 +148,8 @@ class _MappingSearch:
     def __init__(self, a: AUG, b: AUG, cm: CostModel, deadline: float) -> None:
         self.cm = cm
         self.deadline = deadline
-        self.a_nodes = sorted(a.nodes, key=lambda n: n.id)
-        self.b_nodes = sorted(b.nodes, key=lambda n: n.id)
+        self.a_nodes = a.nodes_in_id_order
+        self.b_nodes = b.nodes_in_id_order
         self.n = len(self.a_nodes)
         self.m = len(self.b_nodes)
 
@@ -162,10 +173,7 @@ class _MappingSearch:
             [(l, eb[k][l] + eb[l][k]) for l in nbr] for k, nbr in enumerate(self.nbr_b)
         ]
 
-        self.sub = [
-            [float(cm.node_substitute(u, v)) for v in self.b_nodes]
-            for u in self.a_nodes
-        ]
+        self.sub = _substitution_costs(a, b, cm).tolist()
         self.row_order = [
             sorted(
                 (k for k, cost in enumerate(row) if cost < cm.node_delete),
@@ -197,7 +205,7 @@ class _MappingSearch:
 
     @staticmethod
     def _edge_table(
-        graph: AUG, nodes: list[Node], label_id: dict[str, int]
+        graph: AUG, nodes: tuple[Node, ...], label_id: dict[str, int]
     ) -> list[list[tuple[int, ...]]]:
         """Sorted label ids of the edges of each ordered node pair."""
         index = {node.id: i for i, node in enumerate(nodes)}
@@ -424,39 +432,57 @@ def dist_ged_astar(
     return _clamp_unit(value, "normalized edit distance")
 
 
-def hungarian_assignment(
-    a: AUG, b: AUG, cost_model: CostModel | None = None
-) -> tuple[float, list[tuple[str, str]]]:
-    """Optimal node-only assignment on the padded bipartite cost matrix.
+def _substitution_costs(a: AUG, b: AUG, cm: CostModel) -> np.ndarray:
+    """The n×m node substitution costs, both graphs' nodes in id order."""
+    n, m = a.node_count, b.node_count
+    pairs = product(a.nodes_in_id_order, b.nodes_in_id_order)
+    costs = np.fromiter(starmap(cm.node_substitute, pairs), float, n * m)
+    return costs.reshape(n, m)
 
-    Returns the assignment's total cost and the substitution pairs it chose.
-    Edge costs are ignored entirely.
+
+def _assign_nodes(
+    a: AUG, b: AUG, cm: CostModel
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal node-only assignment on the clipped n×m gain matrix.
+
+    Returns the total cost and the picked cells' rows, columns and gains.
     """
     a.require_non_empty()
     b.require_non_empty()
+    gains = _substitution_costs(a, b, cm)
+    gains -= cm.node_delete + cm.node_insert
+    np.minimum(gains, 0.0, out=gains)
+    rows, cols = linear_sum_assignment(gains)
+    picked = gains[rows, cols]
+    cost = a.node_count * cm.node_delete + b.node_count * cm.node_insert
+    return cost + float(picked.sum()), rows, cols, picked
+
+
+def hungarian_assignment(
+    a: AUG, b: AUG, cost_model: CostModel | None = None
+) -> tuple[float, list[tuple[str, str]]]:
+    """Optimal node-only assignment, solved on the n×m gain matrix.
+
+    Returns the assignment's total cost and the substitution pairs it chose:
+    the picked cells whose substitution costs less than a deletion plus an
+    insertion. A substitution costing exactly that is reported as a deletion
+    and an insertion instead; the cost is the same. Edge costs are ignored
+    entirely.
+    """
     cm = cost_model or default_cost_model()
-    a_nodes = sorted(a.nodes, key=lambda n: n.id)
-    b_nodes = sorted(b.nodes, key=lambda n: n.id)
-    n, m = len(a_nodes), len(b_nodes)
-    matrix = np.full((n + m, m + n), np.inf)
-    for i, u in enumerate(a_nodes):
-        for k, v in enumerate(b_nodes):
-            matrix[i, k] = cm.node_substitute(u, v)
-        matrix[i, m + i] = cm.node_delete
-    for k in range(m):
-        matrix[n + k, k] = cm.node_insert
-    matrix[n:, m:] = 0.0
-    rows, cols = linear_sum_assignment(matrix)
-    cost = float(matrix[rows, cols].sum())
+    cost, rows, cols, picked = _assign_nodes(a, b, cm)
+    a_nodes, b_nodes = a.nodes_in_id_order, b.nodes_in_id_order
     pairs = [
-        (a_nodes[i].id, b_nodes[k].id) for i, k in zip(rows, cols) if i < n and k < m
+        (a_nodes[i].id, b_nodes[k].id)
+        for i, k, gain in zip(rows, cols, picked)
+        if gain < 0.0
     ]
     return cost, pairs
 
 
 def ged_hungarian(a: AUG, b: AUG, cost_model: CostModel | None = None) -> float:
     """Total node-edit cost of the optimal bipartite assignment."""
-    return hungarian_assignment(a, b, cost_model)[0]
+    return _assign_nodes(a, b, cost_model or default_cost_model())[0]
 
 
 def dist_ged_hungarian(a: AUG, b: AUG, cost_model: CostModel | None = None) -> float:

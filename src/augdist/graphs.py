@@ -106,13 +106,19 @@ class AUG:
         return counts
 
     @cached_property
+    def nodes_in_id_order(self) -> tuple[Node, ...]:
+        """The nodes sorted by id: the numbering every per-pair kernel uses."""
+        return tuple(sorted(self.nodes, key=lambda node: node.id))
+
+    @cached_property
     def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and target positions of the distinct ordered node pairs
-        joined by an edge, sorted, with nodes numbered in ascending-id order.
+        joined by an edge, sorted, with nodes numbered as in
+        ``nodes_in_id_order``.
 
         The two arrays are read-only, since the graph is shared.
         """
-        order = {node_id: i for i, node_id in enumerate(sorted(self.nodes_by_id))}
+        order = {node.id: i for i, node in enumerate(self.nodes_in_id_order)}
         pairs = sorted(
             (order[source], order[target]) for source, target in self.edge_label_counts
         )

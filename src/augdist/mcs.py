@@ -4,15 +4,16 @@ The common-subgraph view falls out of a cost model that forbids any
 substitution between non-identical elements and charges unit cost for every
 deletion and insertion: whatever the assignment keeps for free is the shared
 subgraph. Infinity is modeled as a finite sentinel strictly larger than the
-total delete-plus-insert cost of both graphs, so assignment solvers never
-pick a forbidden substitution.
+total delete-plus-insert cost of both graphs. The assignment solver works on
+gains (substitution minus deletion minus insertion) clipped at 0, so a
+forbidden substitution's gain is 0 and it is never picked as a pair.
 """
 
 from __future__ import annotations
 
 import logging
 
-from .ged import CostModel, _clamp_unit, hungarian_assignment
+from .ged import CostModel, _assign_nodes, _clamp_unit, hungarian_assignment
 from .graphs import AUG, Node
 
 logger = logging.getLogger(__name__)
@@ -58,6 +59,6 @@ def dist_mcs_hungarian(a: AUG, b: AUG) -> float:
     Normalized by the larger node count; the delete-plus-insert cost of two
     disjoint graphs can exceed that denominator, hence the clamp.
     """
-    cost, _ = mcs_assignment(a, b)
+    cost = _assign_nodes(a, b, mcs_cost_model(a, b))[0]
     value = cost / max(a.node_count, b.node_count)
     return _clamp_unit(value, "common-subgraph distance")

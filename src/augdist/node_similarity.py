@@ -87,7 +87,7 @@ def similarity_matrix(
     """
     a.require_non_empty()
     b.require_non_empty()
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 2 or max_iter % 2:
         raise ValueError("max_iter must be an even number >= 2")

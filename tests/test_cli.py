@@ -68,6 +68,15 @@ class TestRunConfig:
         assert code == EXIT_PARSE
         assert "max-iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option", [("node-sim", "--tol", "tol"), ("astar-ged", "--timeout", "timeout")]
+    )
+    def test_nan_option_exits_2_from_cli(self, tmp_path, capsys, option):
+        algorithm, flag, name = option
+        a = _write(tmp_path, "a.dot", SINGLE)
+        assert main(["dist", str(a), str(a), "-a", algorithm, flag, "nan"]) == EXIT_PARSE
+        assert f"{name} must be positive" in capsys.readouterr().err
+
     def test_every_algorithm_builds_a_callable(self):
         graph = parse_aug(SINGLE)
         for name in ALGORITHMS:

@@ -1,3 +1,5 @@
+import math
+import pickle
 import random
 import time
 from collections import Counter
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from augdist import (
     AUG,
+    CostModel,
     EmptyGraphError,
     GedTimeoutError,
     Node,
@@ -20,10 +23,17 @@ from augdist import (
     hungarian_assignment,
 )
 from augdist.ged import _MappingSearch, normalization_denominator
-from augdist.mcs import mcs_cost_model
+from augdist.mcs import dist_mcs_hungarian, mcs_cost_model
+from augdist.node_similarity import dist_node_sim
 from gen import random_aug, random_aug_pairs
 from helpers import aug
-from oracles import ReferenceMappingSearch, brute_force_ged, brute_force_node_ged
+from oracles import (
+    ReferenceMappingSearch,
+    brute_force_ged,
+    brute_force_node_ged,
+    max_identical_matching,
+    reference_hungarian_assignment,
+)
 
 ONE_ACTION = aug("one", [("n1", "A.m()", "action", "p.A")])
 RELABELED = aug("two", [("n1", "A.n()", "action", "p.A")])
@@ -161,6 +171,120 @@ class TestHungarian:
     def test_assignment_pairs_are_valid_ids(self):
         _, pairs = hungarian_assignment(ONE_ACTION, GROWN)
         assert pairs == [("n1", "n2")]
+
+
+def _fractional_substitute(u: Node, v: Node) -> float:
+    if u.node_type == v.node_type:
+        return 0.0 if u.label == v.label else 0.3
+    if "return" in (u.node_type, v.node_type):
+        return math.inf
+    return 2.0  # exactly delete plus insert
+
+
+# Fractional substitutions, forbidden ones, and a substitution that ties with a
+# deletion plus an insertion.
+FRACTIONAL = CostModel(
+    node_substitute=_fractional_substitute,
+    node_delete=0.75,
+    node_insert=1.25,
+    edge_substitute=lambda x, y: 0.0 if x == y else 2.0,
+    edge_delete=1.0,
+    edge_insert=1.0,
+    mcost_n=2.0,
+    mcost_e=1.0,
+)
+
+
+@st.composite
+def _small_alphabet_graph(draw, name: str) -> AUG:
+    """Up to 7 nodes over two labels and three types, ids out of id order."""
+    count = draw(st.integers(min_value=1, max_value=7))
+    ids = draw(st.permutations([f"n{i}" for i in range(12)]))[:count]
+    nodes = tuple(
+        Node(
+            node_id,
+            draw(st.sampled_from(("A.m()", "A"))),
+            draw(st.sampled_from(("action", "data", "return"))),
+        )
+        for node_id in ids
+    )
+    return AUG(name, nodes, ())
+
+
+class TestAssignmentMatchesPaddedReference:
+    """The n×m gain matrix gives the padded matrix's optimum, with valid pairs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_small_alphabet_graph("a"), b=_small_alphabet_graph("b"))
+    def test_same_cost_and_a_valid_matching(self, a, b):
+        models = (
+            ("default", default_cost_model()),
+            ("mcs", mcs_cost_model(a, b)),
+            ("fractional", FRACTIONAL),
+        )
+        for name, cm in models:
+            exact = name != "fractional"
+            expected, _ = reference_hungarian_assignment(a, b, cm)
+            cost, pairs = hungarian_assignment(a, b, cm)
+            assert cost == (expected if exact else pytest.approx(expected, abs=1e-9))
+            assert ged_hungarian(a, b, cm) == cost
+
+            sources = [a_id for a_id, _ in pairs]
+            targets = [b_id for _, b_id in pairs]
+            assert len(set(sources)) == len(sources) and set(sources) <= a.nodes_by_id.keys()
+            assert len(set(targets)) == len(targets) and set(targets) <= b.nodes_by_id.keys()
+            substitutions = [
+                cm.node_substitute(a.nodes_by_id[a_id], b.nodes_by_id[b_id])
+                for a_id, b_id in pairs
+            ]
+            assert all(x < cm.node_delete + cm.node_insert for x in substitutions)
+            recomputed = (
+                sum(substitutions)
+                + (a.node_count - len(pairs)) * cm.node_delete
+                + (b.node_count - len(pairs)) * cm.node_insert
+            )
+            assert recomputed == (cost if exact else pytest.approx(cost, abs=1e-9))
+            if name == "mcs":
+                assert len(pairs) == max_identical_matching(a, b)
+                assert dist_mcs_hungarian(a, b) == min(1.0, cost / max(a.node_count, b.node_count))
+
+
+class TestPreparedNodeOrder:
+    def test_node_order_is_the_id_order(self):
+        graph = aug("g", [("n2", "A", "data"), ("n10", "A.m()", "action"), ("n1", "A", "data")])
+        assert [node.id for node in graph.nodes_in_id_order] == ["n1", "n10", "n2"]
+        assert type(graph.nodes_in_id_order) is tuple
+
+    def test_built_once_per_graph(self, monkeypatch):
+        calls = Counter()
+        build = AUG.nodes_in_id_order.func
+
+        def counted(graph):
+            calls[graph.name] += 1
+            return build(graph)
+
+        monkeypatch.setattr(AUG.nodes_in_id_order, "func", counted)
+        pairs = random_aug_pairs(seed=107, count=4, max_nodes=4, max_edges=5, min_edges=1)
+        pool = [graph for pair in pairs for graph in pair]
+        for a in pool:
+            for b in pool:
+                hungarian_assignment(a, b)
+                dist_ged_hungarian(a, b)
+                dist_mcs_hungarian(a, b)
+                ged_astar(a, b, timeout=60.0)
+                dist_node_sim(a, b)
+        assert calls == Counter({graph.name: 1 for graph in pool})
+
+    def test_survives_pickle(self):
+        for a, b in random_aug_pairs(seed=109, count=20, max_nodes=6, max_edges=6):
+            a.nodes_in_id_order
+            restored = pickle.loads(pickle.dumps(a))
+            assert "nodes_in_id_order" in vars(restored)
+            assert restored.nodes_in_id_order == a.nodes_in_id_order
+            fresh = AUG(a.name, a.nodes, a.edges)
+            for cm in (default_cost_model(), mcs_cost_model(a, b)):
+                assert hungarian_assignment(restored, b, cm) == hungarian_assignment(fresh, b, cm)
+                assert hungarian_assignment(b, restored, cm) == hungarian_assignment(b, fresh, cm)
 
 
 class TestRangeInvariants:

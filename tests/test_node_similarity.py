@@ -66,6 +66,8 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError):
             similarity_matrix(SINGLE_EDGE_A, SINGLE_EDGE_B, tol=0.0)
         with pytest.raises(ValueError):
+            similarity_matrix(SINGLE_EDGE_A, SINGLE_EDGE_B, tol=math.nan)
+        with pytest.raises(ValueError):
             similarity_matrix(SINGLE_EDGE_A, SINGLE_EDGE_B, max_iter=3)
         with pytest.raises(ValueError):
             similarity_matrix(SINGLE_EDGE_A, SINGLE_EDGE_B, max_iter=0)

@@ -8,11 +8,14 @@ Run from the repository root after an intentional behavior change:
 Timing values differ run to run; the golden comparison ignores them.
 """
 
+import sys
 from pathlib import Path
 
-from augdist.cli import ALGORITHMS, main
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from augdist.cli import ALGORITHMS, main  # noqa: E402
+
 CORPUS = ROOT / "tests" / "data" / "corpus"
 GOLDEN = ROOT / "tests" / "data" / "golden"
 
