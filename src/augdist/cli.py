@@ -111,7 +111,11 @@ class RunConfig:
 
 
 def build_distance(config: RunConfig) -> DistanceFn:
-    """Bind the configured algorithm and its options to a two-graph callable."""
+    """Bind the configured algorithm and its options to a two-graph callable.
+
+    The node-sim callable also carries its one-to-many form as
+    ``one_to_many``, which ``distance_table`` calls once per rule side.
+    """
     if config.algorithm == "astar-ged":
         return lambda a, b: ged.dist_ged_astar(a, b, timeout=config.timeout)
     if config.algorithm == "hungarian-ged":
@@ -119,9 +123,16 @@ def build_distance(config: RunConfig) -> DistanceFn:
     if config.algorithm == "hungarian-mcs":
         return mcs.dist_mcs_hungarian
     if config.algorithm == "node-sim":
-        return lambda a, b: node_similarity.dist_node_sim(
-            a, b, tol=config.tol, max_iter=config.max_iter
+
+        def node_sim(a, b):
+            return node_similarity.dist_node_sim(
+                a, b, tol=config.tol, max_iter=config.max_iter
+            )
+
+        node_sim.one_to_many = lambda a, others: node_similarity.dist_node_sim_many(
+            a, others, tol=config.tol, max_iter=config.max_iter
         )
+        return node_sim
     if config.algorithm == "exas-l1":
         return exas.dist_exas_l1
     if config.algorithm == "exas-cosine":

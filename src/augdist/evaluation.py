@@ -1,14 +1,16 @@
 """Experimental harness: rule applicability, misuse detection, timing.
 
 Each rule is evaluated from one distance table: both rule sides against
-every corpus entry, each distance computed once per rule and timed on its
-own. The three reports are derived from that table. A rule is applicable
-when four strict inequalities between its mean distances hold; as a
-detector it flags an entry that lies strictly closer to the misuse side
-than to the fix side; and each positional (correct, misuse) pair of entries
-gets one timing row, the sum of its four cells' seconds. Pairs the distance
-function cannot handle shrink the respective denominators instead of
-poisoning the means.
+every corpus entry, each distance computed once per rule. A distance is
+timed on its own, unless its function has a one-to-many form: then each rule
+side is computed against all entries in one call, and each of its cells is
+timed as an even share of that call. The three reports are derived from that
+table. A rule is applicable when four strict inequalities between its mean
+distances hold; as a detector it flags an entry that lies strictly closer to
+the misuse side than to the fix side; and each positional (correct, misuse)
+pair of entries gets one timing row, the sum of its four cells' seconds.
+Pairs the distance function cannot handle shrink the respective denominators
+instead of poisoning the means.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dot import parse_aug, parse_rule
 from .errors import (
@@ -34,6 +36,9 @@ from .graphs import AUG, CorrectionRule
 logger = logging.getLogger(__name__)
 
 DistanceFn = Callable[[AUG, AUG], float]
+# The optional ``one_to_many`` attribute of a DistanceFn: the distances from
+# one graph to each of many, None where a pair is incomputable.
+OneToManyFn = Callable[[AUG, Sequence[AUG]], list[float | None]]
 
 # Errors that make a single distance computation incomputable without
 # invalidating the rest of the run.
@@ -139,12 +144,30 @@ DistanceTable = dict[tuple[str, str], Cell]
 def distance_table(
     rule: CorrectionRule, dataset: Dataset, dist: DistanceFn
 ) -> DistanceTable:
-    """Compute and time each rule side against each entry, once."""
+    """Compute and time each rule side against each entry, once.
+
+    When ``dist`` has a one-to-many form (a ``one_to_many`` attribute, see
+    ``OneToManyFn``), each rule side is computed against all entries in one
+    call, and each cell's seconds are an even share of that call's time.
+    Otherwise each cell is one timed ``dist`` call. The table's keys and
+    values are the same either way.
+    """
     sides = ((SIDE_FIX, rule.fix), (SIDE_MISUSE, rule.misuse))
     entries = (*dataset.correct, *dataset.misuse)
     for graph in (rule.fix, rule.misuse, *entries):
         graph.require_non_empty()
     table: DistanceTable = {}
+    one_to_many: OneToManyFn | None = getattr(dist, "one_to_many", None)
+    if one_to_many is not None:
+        for side, reference in sides:
+            start = time.perf_counter()
+            values = one_to_many(reference, entries)
+            share = (time.perf_counter() - start) / max(len(entries), 1)
+            for entry, value in zip(entries, values, strict=True):
+                if value is None:
+                    logger.debug("%s/%s vs %r incomputable", rule.name, side, entry.name)
+                table[(side, entry.name)] = Cell(value, share)
+        return table
     for entry in entries:
         for side, reference in sides:
             start = time.perf_counter()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -381,10 +382,13 @@ def ged_astar(
     When the search finishes, the cost is the exact minimum under the model;
     when the deadline fires first, the best complete edit path found so far
     is returned with ``complete=False``. Raises ``GedTimeoutError`` only if
-    no complete path exists by the deadline.
+    no complete path exists by the deadline. A NaN ``timeout`` raises
+    ``ValueError``, since no deadline would ever pass.
     """
     a.require_non_empty()
     b.require_non_empty()
+    if math.isnan(timeout):
+        raise ValueError("timeout must not be NaN")
     cm = cost_model or default_cost_model()
     deadline = time.monotonic() + timeout
     return _MappingSearch(a, b, cm, deadline).run()
@@ -412,7 +416,8 @@ def dist_ged_astar(
 ) -> float:
     """Edit cost normalized by the maximum-cost denominator, in [0, 1].
 
-    A timeout without any complete edit path yields the pessimistic 1.0.
+    A timeout without any complete edit path yields the pessimistic 1.0; a
+    NaN ``timeout`` raises ``ValueError``, as in ``ged_astar``.
     """
     cm = cost_model or default_cost_model()
     a.require_non_empty()

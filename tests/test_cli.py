@@ -196,7 +196,7 @@ class TestCmdEvaluate:
         for name in ("applicability.csv", "detection.csv"):
             assert (tmp_path / "first" / name).read_bytes() == (second / name).read_bytes()
 
-    @pytest.mark.parametrize("algorithm", ["exas-l1", "exas-split-cosine"])
+    @pytest.mark.parametrize("algorithm", ["exas-l1", "exas-split-cosine", "node-sim"])
     def test_worker_pool_matches_serial_run(self, tmp_path, capsys, algorithm):
         serial = self._run(tmp_path, algorithm)
         shutil.move(serial, tmp_path / "serial")

@@ -15,6 +15,7 @@ from augdist import (
     timing_rows,
     timing_summary,
 )
+from augdist.cli import RunConfig, build_distance
 from augdist.ged import default_cost_model
 from helpers import aug, rule
 from oracles import brute_force_node_ged
@@ -298,10 +299,54 @@ class TestQuadrupleWithRealAlgorithms:
 
         edgeless_misuse = aug("bare", [("n", "A", "data", "")])
         degenerate_rule = rule("degenerate", edgeless_misuse, FIX)
-        table = distance_table(degenerate_rule, Dataset((FIX,), (MISUSE,)), dist_node_sim)
-        assert table[("misuse", "fixg")].value is None
-        assert table[("misuse", "misg")].value is None
-        assert table[("fix", "misg")].value is not None
+        # per pair, and in one batch per side through the CLI's callable
+        for dist in (dist_node_sim, build_distance(RunConfig("node-sim"))):
+            table = distance_table(degenerate_rule, Dataset((FIX,), (MISUSE,)), dist)
+            assert table[("misuse", "fixg")].value is None
+            assert table[("misuse", "misg")].value is None
+            assert table[("fix", "misg")].value is not None
+
+
+class TestOneToManyTable:
+    """A distance with a one-to-many form fills the same table in one call
+    per rule side."""
+
+    DATASET = Dataset(
+        (FIX, _renamed(MISUSE, "c1"), aug("lone", [("n", "A", "data", "")])),
+        (MISUSE, _renamed(FIX, "m1")),
+    )
+
+    def test_same_cells_as_the_per_pair_path(self):
+        batched = build_distance(RunConfig("node-sim"))
+        assert hasattr(batched, "one_to_many")
+        table = distance_table(RULE, self.DATASET, batched)
+        per_pair = distance_table(RULE, self.DATASET, lambda a, b: batched(a, b))
+        assert {key: cell.value for key, cell in table.items()} == {
+            key: cell.value for key, cell in per_pair.items()
+        }
+        assert table[("fix", "lone")].value is None
+
+    def test_side_cells_share_the_batch_time(self):
+        calls = []
+
+        def dist(a, b):
+            raise AssertionError("the per-pair form must not be called")
+
+        def one_to_many(reference, entries):
+            calls.append((reference.name, [entry.name for entry in entries]))
+            return [0.5] * len(entries)
+
+        dist.one_to_many = one_to_many
+        table = distance_table(RULE, self.DATASET, dist)
+        names = ["fixg", "c1", "lone", "misg", "m1"]
+        assert calls == [("fixg", names), ("misg", names)]
+        for side in ("fix", "misuse"):
+            (seconds,) = {table[(side, name)].seconds for name in names}
+            assert seconds >= 0.0
+        assert len(table) == 2 * len(names)
+        rows = timing_rows(RULE, self.DATASET, table, "stub")
+        per_pair_rows = _timing_rows(self.DATASET, lambda a, b: 0.5, "stub")
+        assert [row[:2] for row in rows] == [row[:2] for row in per_pair_rows]
 
 
 class TestBenchmark:

@@ -71,6 +71,15 @@ class TestAstarExamples:
         with pytest.raises(GedTimeoutError):
             ged_astar(g1, g2, timeout=0.0)
 
+    def test_nan_timeout_rejected(self):
+        # with a NaN deadline the search would never stop on this pair
+        g1 = random_aug(random.Random(7), "g1", max_nodes=30, min_nodes=30, max_edges=60)
+        g2 = random_aug(random.Random(8), "g2", max_nodes=30, min_nodes=30, max_edges=60)
+        with pytest.raises(ValueError, match="NaN"):
+            ged_astar(g1, g2, timeout=math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            dist_ged_astar(g1, g2, timeout=math.nan)
+
 
 class TestAstarDistance:
     def test_identity(self):

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from augdist import (
     dist_node_sim,
     similarity_matrix,
 )
+from augdist import fallbacks, node_similarity
 from augdist.graphs import AUG, Edge, Node
+from augdist.node_similarity import dist_node_sim_many, similarity_matrices
 from gen import random_aug
 from helpers import aug
 from oracles import best_assignment_mean, dense_node_similarity, reference_similarity_matrix
@@ -189,3 +192,46 @@ class TestMatchesDenseReference:
         rows, cols = linear_sum_assignment(expected.entries, maximize=True)
         expected_distance = min(1.0, max(0.0, 1.0 - expected.entries[rows, cols].mean()))
         assert abs(dist_node_sim(a, b, max_iter=max_iter) - expected_distance) <= 1e-12
+
+
+class TestOneToManyMatchesPerPair:
+    """A pair's iterates do not depend on the batch it runs in, so the
+    one-to-many form gives the per-pair values bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _graphs("a"),
+        st.lists(_graphs("b"), max_size=6),
+        st.sampled_from([2, 6, 100]),
+        st.sampled_from([1, 200, node_similarity._MAX_STACKED_EDGE_PAIRS]),
+    )
+    @example(aug("l", [("n", "A", "data", "")]), [SINGLE_EDGE_B, SINGLE_EDGE_A], 100, 1)
+    def test_same_values_nones_and_caps(self, side, others, max_iter, cap):
+        fallbacks.take()
+        with mock.patch.object(node_similarity, "_MAX_STACKED_EDGE_PAIRS", cap):
+            values = dist_node_sim_many(side, others, max_iter=max_iter)
+            matrices = similarity_matrices(side, others, max_iter=max_iter)
+        batched_counts = fallbacks.take()
+
+        expected = [_outcome(dist_node_sim, side, b, max_iter) for b in others]
+        assert fallbacks.take() == batched_counts
+        assert values == expected  # None at the same places, equal floats elsewhere
+        for b, matrix in zip(others, matrices):
+            single = _outcome(similarity_matrix, side, b, max_iter)
+            if single is None:
+                assert matrix is None
+                continue
+            assert (matrix.iterations_run, matrix.converged) == (
+                single.iterations_run,
+                single.converged,
+            )
+            assert np.array_equal(matrix.entries, single.entries)
+
+    def test_no_entries(self):
+        assert dist_node_sim_many(SINGLE_EDGE_A, []) == []
+
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            dist_node_sim_many(SINGLE_EDGE_A, [SINGLE_EDGE_B], tol=math.nan)
+        with pytest.raises(ValueError):
+            dist_node_sim_many(SINGLE_EDGE_A, [SINGLE_EDGE_B], max_iter=3)
