@@ -2,9 +2,7 @@
 
 ``augdist dist`` prints one distance between two DOT files; ``augdist
 evaluate`` runs a rule set against a corpus and writes the applicability,
-detection and timing reports as CSV. Every flag default can be overridden
-through an ``AUGDIST_``-prefixed environment variable (e.g.
-``AUGDIST_TIMEOUT=30``).
+detection and timing reports as CSV.
 """
 
 from __future__ import annotations
@@ -12,10 +10,11 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import logging
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
+from typing import Callable, get_args
 
 from . import exas, fallbacks, ged, mcs, node_similarity
 from .dot import parse_aug
@@ -53,18 +52,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INCOMPUTABLE = 3
 
-ALGORITHMS = (
-    "astar-ged",
-    "hungarian-ged",
-    "hungarian-mcs",
-    "node-sim",
-    "exas-l1",
-    "exas-cosine",
-    "exas-split-l1",
-    "exas-split-cosine",
-)
-
-COSINE_MODES = ("corrected", "literal")
+COSINE_MODES = get_args(exas.CosineMode)
 
 # How each fallbacks count is logged: one summary line per `evaluate` run,
 # and one line for a `dist` call, in the order of fallbacks.take().
@@ -85,11 +73,11 @@ class RunConfig:
     """Everything a run needs to build its distance function."""
 
     algorithm: str
-    timeout: float = 15.0
-    lam: float = 0.5
-    cosine_mode: str = "corrected"
-    tol: float = 1e-4
-    max_iter: int = 100
+    timeout: float = ged.DEFAULT_TIMEOUT
+    lam: float = exas.DEFAULT_LAMBDA
+    cosine_mode: str = exas.DEFAULT_COSINE_MODE
+    tol: float = node_similarity.DEFAULT_TOL
+    max_iter: int = node_similarity.DEFAULT_MAX_ITER
     exclude_self: bool = True
     workers: int = 1
 
@@ -110,130 +98,98 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
 
+def _node_sim(config: RunConfig) -> DistanceFn:
+    options = {"tol": config.tol, "max_iter": config.max_iter}
+    dist = partial(node_similarity.dist_node_sim, **options)
+    dist.one_to_many = partial(node_similarity.dist_node_sim_many, **options)
+    return dist
+
+
+# Each algorithm binds its options to a two-graph callable. A binder looks its
+# distance up through the module when it runs, so a rebound module attribute
+# (a tracing wrapper, say) is the one called.
+_BINDERS: dict[str, Callable[[RunConfig], DistanceFn]] = {
+    "astar-ged": lambda config: partial(ged.dist_ged_astar, timeout=config.timeout),
+    "hungarian-ged": lambda config: ged.dist_ged_hungarian,
+    "hungarian-mcs": lambda config: mcs.dist_mcs_hungarian,
+    "node-sim": _node_sim,
+    "exas-l1": lambda config: exas.dist_exas_l1,
+    "exas-cosine": lambda config: partial(
+        exas.dist_exas_cosine, lam=config.lam, mode=config.cosine_mode
+    ),
+    "exas-split-l1": lambda config: partial(exas.dist_exas_split, base="l1"),
+    "exas-split-cosine": lambda config: partial(
+        exas.dist_exas_split, base="cosine", lam=config.lam, mode=config.cosine_mode
+    ),
+}
+
+ALGORITHMS = tuple(_BINDERS)
+
+
 def build_distance(config: RunConfig) -> DistanceFn:
     """Bind the configured algorithm and its options to a two-graph callable.
 
     The node-sim callable also carries its one-to-many form as
     ``one_to_many``, which ``distance_table`` calls once per rule side.
     """
-    if config.algorithm == "astar-ged":
-        return lambda a, b: ged.dist_ged_astar(a, b, timeout=config.timeout)
-    if config.algorithm == "hungarian-ged":
-        return ged.dist_ged_hungarian
-    if config.algorithm == "hungarian-mcs":
-        return mcs.dist_mcs_hungarian
-    if config.algorithm == "node-sim":
-
-        def node_sim(a, b):
-            return node_similarity.dist_node_sim(
-                a, b, tol=config.tol, max_iter=config.max_iter
-            )
-
-        node_sim.one_to_many = lambda a, others: node_similarity.dist_node_sim_many(
-            a, others, tol=config.tol, max_iter=config.max_iter
-        )
-        return node_sim
-    if config.algorithm == "exas-l1":
-        return exas.dist_exas_l1
-    if config.algorithm == "exas-cosine":
-        return lambda a, b: exas.dist_exas_cosine(
-            a, b, lam=config.lam, mode=config.cosine_mode
-        )
-    if config.algorithm == "exas-split-l1":
-        return lambda a, b: exas.dist_exas_split(a, b, base="l1")
-    if config.algorithm == "exas-split-cosine":
-        return lambda a, b: exas.dist_exas_split(
-            a, b, base="cosine", lam=config.lam, mode=config.cosine_mode
-        )
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
-
-
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(f"AUGDIST_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        logger.warning("ignoring malformed AUGDIST_%s=%r", name, raw)
-        return fallback
-
-
-def _env_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return _BINDERS[config.algorithm](config)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    env_algorithm = _env_default("ALGORITHM", None, str)
     parser.add_argument(
         "--algorithm",
         "-a",
         choices=ALGORITHMS,
-        default=env_algorithm,
-        required=env_algorithm is None,
+        required=True,
         help="distance algorithm to run",
     )
     parser.add_argument(
         "--timeout",
         type=float,
-        default=_env_default("TIMEOUT", 15.0, float),
-        help="per-pair deadline in seconds for the search-based distance (default 15)",
+        default=RunConfig.timeout,
+        help="per-pair deadline in seconds for the search-based distance (default %(default)g)",
     )
     parser.add_argument(
         "--lambda",
         dest="lam",
         type=float,
-        default=_env_default("LAMBDA", 0.5, float),
-        help="weight of the shared-feature term in the cosine distance (default 0.5)",
+        default=RunConfig.lam,
+        help="weight of the shared-feature term in the cosine distance (default %(default)g)",
     )
     parser.add_argument(
         "--cosine-mode",
         choices=COSINE_MODES,
-        default=_env_default("COSINE_MODE", "corrected", str),
-        help="corrected keeps identical graphs at distance 0 (default corrected)",
+        default=RunConfig.cosine_mode,
+        help="corrected keeps identical graphs at distance 0 (default %(default)s)",
     )
     parser.add_argument(
         "--tol",
         type=float,
-        default=_env_default("TOL", 1e-4, float),
-        help="convergence tolerance of the node-similarity iteration (default 1e-4)",
+        default=RunConfig.tol,
+        help="convergence tolerance of the node-similarity iteration (default %(default)g)",
     )
     parser.add_argument(
         "--max-iter",
         type=int,
-        default=_env_default("MAX_ITER", 100, int),
-        help="iteration cap of the node-similarity iteration, even (default 100)",
+        default=RunConfig.max_iter,
+        help="iteration cap of the node-similarity iteration, even (default %(default)d)",
     )
     parser.add_argument(
         "--exclude-self",
         action=argparse.BooleanOptionalAction,
-        default=_env_default("EXCLUDE_SELF", True, _env_bool),
+        default=RunConfig.exclude_self,
         help="drop the corpus entry sharing a rule's name from that rule's check",
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=_env_default("WORKERS", 1, int),
-        help="process count for evaluating rules in parallel (default 1)",
+        default=RunConfig.workers,
+        help="process count for evaluating rules in parallel (default %(default)d)",
     )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        algorithm=args.algorithm,
-        timeout=args.timeout,
-        lam=args.lam,
-        cosine_mode=args.cosine_mode,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        exclude_self=args.exclude_self,
-        workers=args.workers,
-    )
+    return RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
 
 
 def cmd_dist(file_a: Path, file_b: Path, config: RunConfig) -> int:

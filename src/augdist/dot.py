@@ -259,7 +259,6 @@ def parse_rule(dot_text: str) -> CorrectionRule:
 
     member_edges: dict[str, list[Edge]] = {_PART_MISUSE: [], _PART_FIX: []}
     mapping: list[tuple[str | None, str | None]] = []
-    mapped: dict[str, set[str]] = {_PART_MISUSE: set(), _PART_FIX: set()}
     for source, target, attrs in graph.edges:
         label = _edge_label(source, target, attrs)
         if label == _TRANSFORM:
@@ -270,16 +269,6 @@ def parse_rule(dot_text: str) -> CorrectionRule:
             by_part = {parts[source]: source, parts[target]: target}
             misuse_id = by_part[_PART_MISUSE]
             fix_id = by_part[_PART_FIX]
-            if misuse_id in empties and fix_id in empties:
-                raise SchemaError(
-                    f"transform edge {source!r} -> {target!r} joins two empty nodes"
-                )
-            for part, node_id in ((_PART_MISUSE, misuse_id), (_PART_FIX, fix_id)):
-                if node_id in empties:
-                    continue
-                if node_id in mapped[part]:
-                    raise SchemaError(f"node {node_id!r} is mapped twice")
-                mapped[part].add(node_id)
             mapping.append(
                 (
                     None if misuse_id in empties else misuse_id,

@@ -33,6 +33,9 @@ MAX_PATH_NODES = 4
 CosineMode = Literal["corrected", "literal"]
 SplitBase = Literal["l1", "cosine"]
 
+DEFAULT_LAMBDA = 0.5
+DEFAULT_COSINE_MODE: CosineMode = "corrected"
+
 
 def extract_features(graph: AUG) -> FeatureVector:
     """Count every degree-annotated node and every simple 2..4-node path."""
@@ -126,8 +129,8 @@ def dist_exas_l1(a: AUG, b: AUG) -> float:
 def dist_exas_cosine(
     a: AUG,
     b: AUG,
-    lam: float = 0.5,
-    mode: CosineMode = "corrected",
+    lam: float = DEFAULT_LAMBDA,
+    mode: CosineMode = DEFAULT_COSINE_MODE,
 ) -> float:
     """Blend of shared-feature proportion and sub-vector cosine distance.
 
@@ -170,8 +173,8 @@ def dist_exas_split(
     a: AUG,
     b: AUG,
     base: SplitBase = "l1",
-    lam: float = 0.5,
-    mode: CosineMode = "corrected",
+    lam: float = DEFAULT_LAMBDA,
+    mode: CosineMode = DEFAULT_COSINE_MODE,
 ) -> float:
     """Per-package split variant of the L1 or cosine vector distance."""
     a.require_non_empty()

@@ -11,12 +11,8 @@ forbidden substitution's gain is 0 and it is never picked as a pair.
 
 from __future__ import annotations
 
-import logging
-
 from .ged import CostModel, _assign_nodes, _clamp_unit, hungarian_assignment
 from .graphs import AUG, Node
-
-logger = logging.getLogger(__name__)
 
 
 def forbidden_cost(a: AUG, b: AUG) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import augdist.cli as cli
+from augdist import exas, ged, mcs, node_similarity
 from augdist import load_corpus, load_rules, parse_aug, parse_rule
 from augdist.cli import ALGORITHMS, EXIT_INCOMPUTABLE, EXIT_PARSE, RunConfig, build_distance, main
 from augdist.ged import default_cost_model, normalization_denominator
@@ -77,6 +78,54 @@ class TestRunConfig:
         assert main(["dist", str(a), str(a), "-a", algorithm, flag, "nan"]) == EXIT_PARSE
         assert f"{name} must be positive" in capsys.readouterr().err
 
+    def test_flags_left_out_give_the_config_defaults(self, monkeypatch):
+        # options come from flags only; environment variables are not read
+        for name, value in (("LAMBDA", "0.3"), ("EXCLUDE_SELF", "0"), ("WORKERS", "2")):
+            monkeypatch.setenv(f"AUGDIST_{name}", value)
+        args = cli._build_parser().parse_args(["dist", "a.dot", "b.dot", "-a", "node-sim"])
+        assert cli._config_from_args(args) == RunConfig(algorithm="node-sim")
+
+    # the module-level function each algorithm's callable must reach
+    MODULE_DISTANCES = {
+        "astar-ged": (ged, "dist_ged_astar"),
+        "hungarian-ged": (ged, "dist_ged_hungarian"),
+        "hungarian-mcs": (mcs, "dist_mcs_hungarian"),
+        "node-sim": (node_similarity, "dist_node_sim"),
+        "exas-l1": (exas, "dist_exas_l1"),
+        "exas-cosine": (exas, "dist_exas_cosine"),
+        "exas-split-l1": (exas, "dist_exas_split"),
+        "exas-split-cosine": (exas, "dist_exas_split"),
+    }
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_distance_is_looked_up_through_its_module(self, monkeypatch, algorithm):
+        # a tracer rebinds module attributes; the built callable must use them
+        module, name = self.MODULE_DISTANCES[algorithm]
+        calls = []
+
+        def counting(a, b, **options):
+            calls.append((a, b))
+            return 0.25
+
+        monkeypatch.setattr(module, name, counting)
+        graph = parse_aug(SINGLE)
+        dist = build_distance(RunConfig(algorithm=algorithm))
+        assert dist(graph, graph) == 0.25
+        assert calls == [(graph, graph)]
+
+    def test_node_sim_one_to_many_is_looked_up_through_its_module(self, monkeypatch):
+        calls = []
+
+        def counting(a, others, **options):
+            calls.append((a, list(others)))
+            return [0.25] * len(others)
+
+        monkeypatch.setattr(node_similarity, "dist_node_sim_many", counting)
+        graph = parse_aug(SINGLE)
+        dist = build_distance(RunConfig(algorithm="node-sim"))
+        assert dist.one_to_many(graph, [graph, graph]) == [0.25, 0.25]
+        assert calls == [(graph, [graph, graph])]
+
     def test_every_algorithm_builds_a_callable(self):
         graph = parse_aug(SINGLE)
         for name in ALGORITHMS:
@@ -125,11 +174,6 @@ class TestCmdDist:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["no complete edit path within the timeout; distance set to 1.0"]
 
-    def test_env_override_supplies_algorithm(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("AUGDIST_ALGORITHM", "hungarian-ged")
-        a = _write(tmp_path, "a.dot", SINGLE)
-        assert main(["dist", str(a), str(a)]) == 0
-        assert capsys.readouterr().out.strip() == "0.000000"
 
 
 class TestHelp:
@@ -188,6 +232,13 @@ class TestCmdEvaluate:
         committed = [row[:2] for row in _read_rows(golden / "timing.csv")]
         assert fresh == committed
         assert f"applicable: {self.GOLDEN_APPLICABLE[algorithm]}" in capsys.readouterr().out
+
+    def test_environment_does_not_change_the_reports(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AUGDIST_LAMBDA", "0.3")
+        monkeypatch.setenv("AUGDIST_EXCLUDE_SELF", "0")
+        out = self._run(tmp_path, "exas-cosine")
+        for name in ("applicability.csv", "detection.csv"):
+            assert (out / name).read_bytes() == (GOLDEN / "exas-cosine" / name).read_bytes()
 
     def test_two_runs_are_byte_identical(self, tmp_path, capsys):
         first = self._run(tmp_path, "hungarian-ged")
