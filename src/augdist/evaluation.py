@@ -19,7 +19,7 @@ import csv
 import logging
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -337,7 +337,12 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
             logger.warning("skipping rule file %s: %s", path.name, exc)
             continue
         if not rule.name:
-            rule = CorrectionRule(path.stem, rule.misuse, rule.fix, rule.mapping)
+            rule = replace(
+                rule,
+                name=path.stem,
+                misuse=replace(rule.misuse, name=f"{path.stem}/misuse"),
+                fix=replace(rule.fix, name=f"{path.stem}/fix"),
+            )
         if rule.misuse.is_empty or rule.fix.is_empty:
             logger.warning("skipping rule %r: empty member graph", rule.name)
             continue

@@ -5,15 +5,19 @@ branch-and-bound search over node mappings with admissible pruning and a
 wall-clock deadline, and the bipartite node-assignment approximation solved
 as a linear sum assignment (node costs only).
 
-The assignment needs no padded (n+m)×(n+m) matrix: deletion and insertion
-costs are scalars, so every partial node matching P costs
-``n·node_delete + m·node_insert + Σ_P gain`` with ``gain = substitute -
-node_delete - node_insert``. Clipping the n×m gains at 0 makes the best full
-matching of the rectangular matrix as cheap as the best partial matching,
-and a picked cell of gain 0 stands for an unmatched pair: a substitution
-costing exactly a deletion plus an insertion is reported as a deletion and
-an insertion (Serratosa 2014, *Fast computation of Bipartite graph
-matching*).
+Nodes and edges share one assignment solver, ``_assign``: the bipartite
+node assignment, and the matching of two edge-label multisets that the
+search charges for each mapped node pair and ``edit_path`` spells out. It
+needs no padded (n+m)×(n+m) matrix: deletion and insertion costs are
+scalars, so every partial matching P of n items against m costs
+``n·delete + m·insert + Σ_P gain`` with ``gain = substitute - delete -
+insert``. Clipping the n×m gains at 0 makes the best full matching of the
+rectangular matrix as cheap as the best partial matching, and a picked cell
+of gain 0 stands for an unmatched pair: a substitution costing at least a
+deletion plus an insertion is reported as a deletion and an insertion
+(Serratosa 2014, *Fast computation of Bipartite graph matching*). The
+result is the exact optimum over all partial matchings, whether or not the
+costs satisfy the triangle inequality.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product, starmap
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -46,11 +50,12 @@ class CostModel:
     """Edit-operation costs driving both distance variants.
 
     ``edge_substitute`` receives the two edge labels; the edge endpoints are
-    fixed by the node mapping, so the label is the only free attribute. It
-    must return 0 for equal labels and, for differing labels, a value no
-    smaller than ``min(edge_delete, edge_insert)`` — the search's pruning
-    bound relies on both properties. Costs must satisfy the triangle
-    inequality (delete + insert >= substitute) for nodes and edges.
+    fixed by the node mapping, so the label is the only free attribute. The
+    search needs it to return 0 for equal labels (it charges identical edge
+    multisets nothing without solving an assignment) and, for differing
+    labels, a value no smaller than ``min(edge_delete, edge_insert)`` (its
+    edge-surplus bound). The assignments need no triangle inequality: a
+    substitution dearer than a deletion plus an insertion is never picked.
 
     ``mcost_n`` and ``mcost_e`` are the per-node and per-edge maximum costs
     used by the distance normalizations.
@@ -174,7 +179,7 @@ class _MappingSearch:
             [(l, eb[k][l] + eb[l][k]) for l in nbr] for k, nbr in enumerate(self.nbr_b)
         ]
 
-        self.sub = _substitution_costs(a, b, cm).tolist()
+        self.sub = _cost_matrix(cm.node_substitute, self.a_nodes, self.b_nodes).tolist()
         self.row_order = [
             sorted(
                 (k for k, cost in enumerate(row) if cost < cm.node_delete),
@@ -357,18 +362,9 @@ def _pair_edge_cost(
         return cm.edge_insert * len(tb)
     if not tb:
         return cm.edge_delete * len(ta)
-    rest_a = list(ta)
-    rest_b = []
-    for x in tb:
-        if x in rest_a:
-            rest_a.remove(x)
-        else:
-            rest_b.append(x)
-    if not rest_a and not rest_b:
+    if ta == tb:
         return 0.0
-    return _match_with_ops(
-        cm, tuple(labels[x] for x in rest_a), tuple(labels[x] for x in rest_b)
-    )[0]
+    return _assign_edges([labels[x] for x in ta], [labels[x] for x in tb], cm)[0]
 
 
 def ged_astar(
@@ -437,30 +433,48 @@ def dist_ged_astar(
     return _clamp_unit(value, "normalized edit distance")
 
 
-def _substitution_costs(a: AUG, b: AUG, cm: CostModel) -> np.ndarray:
-    """The n×m node substitution costs, both graphs' nodes in id order."""
-    n, m = a.node_count, b.node_count
-    pairs = product(a.nodes_in_id_order, b.nodes_in_id_order)
-    costs = np.fromiter(starmap(cm.node_substitute, pairs), float, n * m)
+def _cost_matrix(substitute: Callable[..., float], xs: Sequence, ys: Sequence) -> np.ndarray:
+    """The len(xs)×len(ys) matrix of ``substitute(x, y)``."""
+    n, m = len(xs), len(ys)
+    costs = np.fromiter(starmap(substitute, product(xs, ys)), float, n * m)
     return costs.reshape(n, m)
 
 
-def _assign_nodes(
-    a: AUG, b: AUG, cm: CostModel
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Optimal node-only assignment on the clipped n×m gain matrix.
+def _assign(
+    sub: np.ndarray, delete: float, insert: float
+) -> tuple[float, list[tuple[int, int]]]:
+    """Cheapest partial matching of n items against m, on the clipped gains.
 
-    Returns the total cost and the picked cells' rows, columns and gains.
+    ``sub`` is the n×m substitution matrix; an unmatched row costs
+    ``delete`` and an unmatched column ``insert``. Returns the total cost
+    and the substituted (row, column) pairs: the picked cells of negative
+    gain. A picked cell of gain 0 is a deletion plus an insertion; the cost
+    is the same.
     """
+    gains = np.minimum(sub - (delete + insert), 0.0)
+    rows, cols = linear_sum_assignment(gains)
+    picked = gains[rows, cols].tolist()
+    pairs = [
+        (i, k) for i, k, gain in zip(rows.tolist(), cols.tolist(), picked) if gain < 0.0
+    ]
+    n, m = sub.shape
+    return n * delete + m * insert + sum(picked), pairs
+
+
+def _assign_nodes(a: AUG, b: AUG, cm: CostModel) -> tuple[float, list[tuple[int, int]]]:
+    """Optimal node-only assignment over both graphs' nodes in id order."""
     a.require_non_empty()
     b.require_non_empty()
-    gains = _substitution_costs(a, b, cm)
-    gains -= cm.node_delete + cm.node_insert
-    np.minimum(gains, 0.0, out=gains)
-    rows, cols = linear_sum_assignment(gains)
-    picked = gains[rows, cols]
-    cost = a.node_count * cm.node_delete + b.node_count * cm.node_insert
-    return cost + float(picked.sum()), rows, cols, picked
+    sub = _cost_matrix(cm.node_substitute, a.nodes_in_id_order, b.nodes_in_id_order)
+    return _assign(sub, cm.node_delete, cm.node_insert)
+
+
+def _assign_edges(
+    labels_a: Sequence[str], labels_b: Sequence[str], cm: CostModel
+) -> tuple[float, list[tuple[int, int]]]:
+    """Cheapest edit of one node pair's edge-label multiset into another's."""
+    sub = _cost_matrix(cm.edge_substitute, labels_a, labels_b)
+    return _assign(sub, cm.edge_delete, cm.edge_insert)
 
 
 def hungarian_assignment(
@@ -468,21 +482,15 @@ def hungarian_assignment(
 ) -> tuple[float, list[tuple[str, str]]]:
     """Optimal node-only assignment, solved on the n×m gain matrix.
 
-    Returns the assignment's total cost and the substitution pairs it chose:
-    the picked cells whose substitution costs less than a deletion plus an
-    insertion. A substitution costing exactly that is reported as a deletion
-    and an insertion instead; the cost is the same. Edge costs are ignored
-    entirely.
+    Returns the assignment's total cost and the substitution pairs it chose,
+    each costing less than a deletion plus an insertion. A substitution
+    costing exactly that is reported as a deletion and an insertion instead;
+    the cost is the same. Edge costs are ignored entirely.
     """
     cm = cost_model or default_cost_model()
-    cost, rows, cols, picked = _assign_nodes(a, b, cm)
+    cost, pairs = _assign_nodes(a, b, cm)
     a_nodes, b_nodes = a.nodes_in_id_order, b.nodes_in_id_order
-    pairs = [
-        (a_nodes[i].id, b_nodes[k].id)
-        for i, k, gain in zip(rows, cols, picked)
-        if gain < 0.0
-    ]
-    return cost, pairs
+    return cost, [(a_nodes[i].id, b_nodes[k].id) for i, k in pairs]
 
 
 def ged_hungarian(a: AUG, b: AUG, cost_model: CostModel | None = None) -> float:
@@ -502,8 +510,10 @@ def edit_path(a: AUG, b: AUG, result: GedResult, cost_model: CostModel | None = 
     """Expand a search result's node mapping into explicit edit operations.
 
     Node operations come first (decisions on ``a`` nodes in id order, then
-    insertions in id order), followed by edge operations pair by pair. The
-    listed costs sum to the mapping's total edit cost.
+    insertions in id order), followed by edge operations pair by pair.
+    Within a mapped pair, each source label in sorted order is substituted
+    or deleted, then the unmatched target labels are inserted in sorted
+    order. The listed costs sum to the mapping's total edit cost.
     """
     cm = cost_model or default_cost_model()
     image: dict[str, str | None] = {}
@@ -550,17 +560,16 @@ def _edge_pair_ops(
     target_pair: tuple[str, str],
     counts_b: Counter[str],
 ) -> list[EditOp]:
+    labels_a = sorted(counts_a.elements())
+    labels_b = sorted(counts_b.elements())
+    image = dict(_assign_edges(labels_a, labels_b, cm)[1])
     ops: list[EditOp] = []
-    common = counts_a & counts_b
-    for label in sorted(common.elements()):
-        ops.append(
-            EditOp("edge-sub", (*source_pair, label), (*target_pair, label), 0.0)
-        )
-    rest_a = sorted((counts_a - common).elements())
-    rest_b = sorted((counts_b - common).elements())
-    _, pairing = _match_with_ops(cm, tuple(rest_a), tuple(rest_b))
-    for la, lb in pairing:
-        if la is not None and lb is not None:
+    for i, la in enumerate(labels_a):
+        k = image.get(i)
+        if k is None:
+            ops.append(EditOp("edge-del", (*source_pair, la), None, cm.edge_delete))
+        else:
+            lb = labels_b[k]
             ops.append(
                 EditOp(
                     "edge-sub",
@@ -569,33 +578,8 @@ def _edge_pair_ops(
                     cm.edge_substitute(la, lb),
                 )
             )
-        elif la is not None:
-            ops.append(EditOp("edge-del", (*source_pair, la), None, cm.edge_delete))
-        else:
-            assert lb is not None
+    matched = set(image.values())
+    for k, lb in enumerate(labels_b):
+        if k not in matched:
             ops.append(EditOp("edge-ins", None, (*target_pair, lb), cm.edge_insert))
     return ops
-
-
-def _match_with_ops(
-    cm: CostModel, rest_a: tuple[str, ...], rest_b: tuple[str, ...]
-) -> tuple[float, list[tuple[str | None, str | None]]]:
-    if not rest_a:
-        return cm.edge_insert * len(rest_b), [(None, lb) for lb in rest_b]
-    if not rest_b:
-        return cm.edge_delete * len(rest_a), [(la, None) for la in rest_a]
-    head, tail = rest_a[0], rest_a[1:]
-    best_cost, best_ops = _match_with_ops(cm, tail, rest_b)
-    best_cost += cm.edge_delete
-    best_ops = [(head, None), *best_ops]
-    for pick in range(len(rest_b)):
-        if pick and rest_b[pick] == rest_b[pick - 1]:
-            continue
-        sub_cost, sub_ops = _match_with_ops(
-            cm, tail, rest_b[:pick] + rest_b[pick + 1 :]
-        )
-        candidate = cm.edge_substitute(head, rest_b[pick]) + sub_cost
-        if candidate < best_cost:
-            best_cost = candidate
-            best_ops = [(head, rest_b[pick]), *sub_ops]
-    return best_cost, best_ops

@@ -6,9 +6,9 @@ path, so the fast implementations can be checked against it exactly.
 
 The module also keeps the implementations that faster rewrites replaced (the
 character-by-character DOT tokenizer, the ``Counter``-based search, the
-dense-matrix node-similarity iteration, the per-pair exas distances and the
-padded bipartite assignment), as differential oracles that the rewrites must
-agree with.
+dense-matrix node-similarity iteration, the per-pair exas distances, the
+padded bipartite assignment and the recursive edge-label matching), as
+differential oracles that the rewrites must agree with.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from augdist import (
     default_cost_model,
 )
 from augdist.exas import CosineMode, extract_features, sub_super
-from augdist.ged import _DELETED, GedResult, _DeadlineHit, _match_with_ops
+from augdist.ged import _DELETED, GedResult, _DeadlineHit
 from augdist.graphs import Node, split_by_api
 from augdist.node_similarity import DEFAULT_MAX_ITER, DEFAULT_TOL
 
@@ -558,8 +558,9 @@ def reference_tokenize(text: str) -> list[_Token]:
 
 
 # The branch-and-bound search as it was before its internals were integer-coded,
-# kept verbatim (bar the class name) as the oracle of a differential test: the
-# rewrite must return the same result through the same number of expansions.
+# kept verbatim (bar the class name and its edge matcher's name) as the oracle
+# of a differential test: the rewrite must return the same result through the
+# same number of expansions.
 
 
 def _label_multiset(graph: AUG) -> Counter[str]:
@@ -688,7 +689,7 @@ class ReferenceMappingSearch:
         key = (rest_a, rest_b)
         cached = self.pair_cache.get(key)
         if cached is None:
-            cached = _match_with_ops(self.cm, rest_a, rest_b)[0]
+            cached = reference_match_with_ops(self.cm, rest_a, rest_b)[0]
             self.pair_cache[key] = cached
         return cached
 
@@ -831,3 +832,35 @@ class ReferenceMappingSearch:
             self.assign[i] = _DELETED
             self._dfs(depth + 1, new_cost)
         self.rest_a_total += self._restore(self.rest_a, settled_a)
+
+
+# The edge-label matching as it was before edges moved to the clipped-gain
+# assignment, kept verbatim (bar the function name) as the oracle of a
+# differential test and as the edge matcher of ``ReferenceMappingSearch``: an
+# exhaustive recursion that decides the head of ``rest_a`` (deleted, or
+# substituted by each distinct label of the sorted ``rest_b``) and recurses on
+# the rest.
+
+
+def reference_match_with_ops(
+    cm: CostModel, rest_a: tuple[str, ...], rest_b: tuple[str, ...]
+) -> tuple[float, list[tuple[str | None, str | None]]]:
+    if not rest_a:
+        return cm.edge_insert * len(rest_b), [(None, lb) for lb in rest_b]
+    if not rest_b:
+        return cm.edge_delete * len(rest_a), [(la, None) for la in rest_a]
+    head, tail = rest_a[0], rest_a[1:]
+    best_cost, best_ops = reference_match_with_ops(cm, tail, rest_b)
+    best_cost += cm.edge_delete
+    best_ops = [(head, None), *best_ops]
+    for pick in range(len(rest_b)):
+        if pick and rest_b[pick] == rest_b[pick - 1]:
+            continue
+        sub_cost, sub_ops = reference_match_with_ops(
+            cm, tail, rest_b[:pick] + rest_b[pick + 1 :]
+        )
+        candidate = cm.edge_substitute(head, rest_b[pick]) + sub_cost
+        if candidate < best_cost:
+            best_cost = candidate
+            best_ops = [(head, rest_b[pick]), *sub_ops]
+    return best_cost, best_ops

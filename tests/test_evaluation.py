@@ -11,6 +11,7 @@ from augdist import (
     distance_table,
     dist_ged_hungarian,
     is_applicable,
+    load_rules,
     score,
     timing_rows,
     timing_summary,
@@ -64,6 +65,26 @@ def _score(checked_rule, dataset, dist):
 
 def _timing_rows(dataset, dist, algo):
     return timing_rows(RULE, dataset, distance_table(RULE, dataset, dist), algo)
+
+
+class TestLoadRules:
+    def test_unnamed_rule_and_its_sides_take_the_file_stem(self, tmp_path):
+        rules_dir = tmp_path / "rules"
+        rules_dir.mkdir()
+        for stem in ("first", "second"):
+            (rules_dir / f"{stem}.dot").write_text(
+                "digraph {\n"
+                '  m [label="A.m()", type="action", api="p.A", part="misuse"];\n'
+                '  f [label="A.m()", type="action", api="p.A", part="fix"];\n'
+                '  m -> f [label="transform"];\n'
+                "}\n",
+                encoding="utf-8",
+            )
+        names = [(r.name, r.misuse.name, r.fix.name) for r in load_rules(rules_dir)]
+        assert names == [
+            ("first", "first/misuse", "first/fix"),
+            ("second", "second/misuse", "second/fix"),
+        ]
 
 
 class TestDataset:

@@ -22,7 +22,12 @@ from augdist import (
     ged_hungarian,
     hungarian_assignment,
 )
-from augdist.ged import _MappingSearch, normalization_denominator
+from augdist.ged import (
+    _assign_edges,
+    _MappingSearch,
+    _pair_edge_cost,
+    normalization_denominator,
+)
 from augdist.mcs import dist_mcs_hungarian, mcs_cost_model
 from augdist.node_similarity import dist_node_sim
 from gen import random_aug, random_aug_pairs
@@ -33,6 +38,7 @@ from oracles import (
     brute_force_node_ged,
     max_identical_matching,
     reference_hungarian_assignment,
+    reference_match_with_ops,
 )
 
 ONE_ACTION = aug("one", [("n1", "A.m()", "action", "p.A")])
@@ -42,6 +48,15 @@ GROWN = aug(
     [("d1", "A", "data", "p.A"), ("n2", "A.m()", "action", "p.A")],
     [("d1", "n2", "recv")],
 )
+
+
+def _parallel_edges(name: str, labels) -> AUG:
+    """Two nodes joined by one edge per label."""
+    return aug(
+        name,
+        [("u", "A.m()", "action"), ("v", "A", "data")],
+        [("u", "v", label) for label in labels],
+    )
 
 
 class TestAstarExamples:
@@ -70,6 +85,15 @@ class TestAstarExamples:
         g2 = random_aug(random.Random(8), "g2", max_nodes=30, min_nodes=30, max_edges=60)
         with pytest.raises(GedTimeoutError):
             ged_astar(g1, g2, timeout=0.0)
+
+    def test_parallel_edges_respect_the_deadline(self):
+        # matching 8 distinct labels against 8 others must not outlast the deadline
+        a = _parallel_edges("a", [f"a{i}" for i in range(8)])
+        b = _parallel_edges("b", [f"b{i}" for i in range(8)])
+        result = ged_astar(a, b, timeout=0.5)
+        assert result.complete
+        assert result.cost == 16.0
+        assert edit_path(a, b, result).total_cost == 16.0
 
     def test_nan_timeout_rejected(self):
         # with a NaN deadline the search would never stop on this pair
@@ -190,15 +214,26 @@ def _fractional_substitute(u: Node, v: Node) -> float:
     return 2.0  # exactly delete plus insert
 
 
+def _fractional_edge_substitute(x: str, y: str) -> float:
+    if x == y:
+        return 0.0
+    pair = {x, y}
+    if pair == {"recv", "sel"}:
+        return math.inf  # though recv -> para -> sel costs 1.6
+    if "order" in pair:
+        return 2.0  # exactly delete plus insert
+    return 0.8
+
+
 # Fractional substitutions, forbidden ones, and a substitution that ties with a
-# deletion plus an insertion.
+# deletion plus an insertion; the edge costs break the triangle inequality.
 FRACTIONAL = CostModel(
     node_substitute=_fractional_substitute,
     node_delete=0.75,
     node_insert=1.25,
-    edge_substitute=lambda x, y: 0.0 if x == y else 2.0,
-    edge_delete=1.0,
-    edge_insert=1.0,
+    edge_substitute=_fractional_edge_substitute,
+    edge_delete=0.75,
+    edge_insert=1.25,
     mcost_n=2.0,
     mcost_e=1.0,
 )
@@ -256,6 +291,46 @@ class TestAssignmentMatchesPaddedReference:
             if name == "mcs":
                 assert len(pairs) == max_identical_matching(a, b)
                 assert dist_mcs_hungarian(a, b) == min(1.0, cost / max(a.node_count, b.node_count))
+
+
+_EDGE_LABELS = st.lists(st.sampled_from(("recv", "para", "order", "sel")), max_size=5)
+
+
+class TestEdgeMatchingMatchesReference:
+    """The clipped-gain edge matching costs what the exhaustive recursion does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels_a=_EDGE_LABELS, labels_b=_EDGE_LABELS)
+    def test_same_cost_and_a_valid_matching(self, labels_a, labels_b):
+        labels_a, labels_b = sorted(labels_a), sorted(labels_b)
+        a, b = _parallel_edges("a", labels_a), _parallel_edges("b", labels_b)
+        labels = sorted({*labels_a, *labels_b})
+        ids_a = tuple(labels.index(x) for x in labels_a)
+        ids_b = tuple(labels.index(x) for x in labels_b)
+        models = (
+            ("default", default_cost_model()),
+            ("mcs", mcs_cost_model(a, b)),
+            ("fractional", FRACTIONAL),
+        )
+        for name, cm in models:
+            exact = name != "fractional"
+            expected, _ = reference_match_with_ops(cm, tuple(labels_a), tuple(labels_b))
+            cost, pairs = _assign_edges(labels_a, labels_b, cm)
+            assert cost == (expected if exact else pytest.approx(expected, abs=1e-9))
+            assert _pair_edge_cost(cm, labels, ids_a, ids_b) == cost
+
+            sources = [i for i, _ in pairs]
+            targets = [k for _, k in pairs]
+            assert len(set(sources)) == len(sources) and set(sources) <= set(range(len(labels_a)))
+            assert len(set(targets)) == len(targets) and set(targets) <= set(range(len(labels_b)))
+            substitutions = [cm.edge_substitute(labels_a[i], labels_b[k]) for i, k in pairs]
+            assert all(x < cm.edge_delete + cm.edge_insert for x in substitutions)
+            recomputed = (
+                sum(substitutions)
+                + (len(labels_a) - len(pairs)) * cm.edge_delete
+                + (len(labels_b) - len(pairs)) * cm.edge_insert
+            )
+            assert recomputed == (cost if exact else pytest.approx(cost, abs=1e-9))
 
 
 class TestPreparedNodeOrder:
@@ -330,16 +405,23 @@ def _apply_edit_path(a: AUG, path) -> tuple[set, Counter]:
     return produced_nodes, produced_edges
 
 
+def _edit_path_pairs(seed: int, count: int) -> list[tuple[AUG, AUG]]:
+    """Sparse pairs of up to 4 nodes, then pairs of up to 2 with parallel edges."""
+    return random_aug_pairs(seed, count, max_nodes=4, max_edges=4) + random_aug_pairs(
+        seed + 1000, count, max_nodes=2, max_edges=8
+    )
+
+
 class TestEditPath:
     def test_total_cost_matches_search_cost(self):
-        cm = default_cost_model()
-        for a, b in random_aug_pairs(seed=31, count=40, max_nodes=4, max_edges=4):
-            result = ged_astar(a, b, cm, timeout=60.0)
-            path = edit_path(a, b, result, cm)
-            assert path.total_cost == pytest.approx(result.cost)
+        for a, b in _edit_path_pairs(seed=31, count=40):
+            for cm in (default_cost_model(), mcs_cost_model(a, b)):
+                result = ged_astar(a, b, cm, timeout=60.0)
+                path = edit_path(a, b, result, cm)
+                assert path.total_cost == pytest.approx(result.cost)
 
     def test_applying_operations_yields_target_graph(self):
-        for a, b in random_aug_pairs(seed=37, count=30, max_nodes=4, max_edges=4):
+        for a, b in _edit_path_pairs(seed=37, count=30):
             result = ged_astar(a, b, timeout=60.0)
             path = edit_path(a, b, result)
             nodes, edges = _apply_edit_path(a, path)

@@ -1,0 +1,44 @@
+"""The package imports nothing beyond the standard library, numpy and scipy.
+
+Checked statically, from each module's syntax tree, so no module is imported.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "augdist"
+ALLOWED = sys.stdlib_module_names | {"numpy", "scipy"}
+
+
+def _absolute_imports(source: str) -> set[str]:
+    """Top-level module names of the absolute imports in a module's source."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_reads_absolute_imports_only():
+    source = (
+        "import os.path, numpy as np\n"
+        "from scipy.optimize import linear_sum_assignment\n"
+        "from . import ged\n"
+        "from .graphs import AUG\n"
+    )
+    assert _absolute_imports(source) == {"os", "numpy", "scipy"}
+
+
+def test_package_imports_only_stdlib_numpy_and_scipy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    outside = {
+        f"{path.name}: {name}"
+        for path in modules
+        for name in _absolute_imports(path.read_text(encoding="utf-8"))
+        if name not in ALLOWED
+    }
+    assert not outside, sorted(outside)
