@@ -2,22 +2,18 @@
 
 Two route families over a shared cost model: an exact-leaning depth-first
 branch-and-bound search over node mappings with admissible pruning and a
-wall-clock deadline, and the bipartite node-assignment approximation solved
-as a linear sum assignment (node costs only).
+wall-clock deadline, and the bipartite node-assignment approximation of
+Riesen & Bunke (2009), node costs only.
 
-Nodes and edges share one assignment solver, ``_assign``: the bipartite
-node assignment, and the matching of two edge-label multisets that the
-search charges for each mapped node pair and ``edit_path`` spells out. It
-needs no padded (n+m)×(n+m) matrix: deletion and insertion costs are
-scalars, so every partial matching P of n items against m costs
-``n·delete + m·insert + Σ_P gain`` with ``gain = substitute - delete -
-insert``. Clipping the n×m gains at 0 makes the best full matching of the
-rectangular matrix as cheap as the best partial matching, and a picked cell
-of gain 0 stands for an unmatched pair: a substitution costing at least a
-deletion plus an insertion is reported as a deletion and an insertion
-(Serratosa 2014, *Fast computation of Bipartite graph matching*). The
-result is the exact optimum over all partial matchings, whether or not the
-costs satisfy the triangle inequality.
+Nodes and edges share one assignment, ``_assign``, which needs no solver. A
+partial matching of n items against m costs ``n·delete + m·insert + Σ
+gain``, ``gain = substitute - delete - insert``, and a substitution's price
+depends only on the longest prefix the two class keys share: ``(node_type,
+label)`` for nodes, ``(label,)`` for edges. These classes nest and prices
+grow outward, so pairing the most items within each full-key class, then
+within each shorter prefix among the leftovers, makes the most pairs share
+every prefix length at once. Stopping at the first length whose gain is
+not negative gives the optimum over all partial matchings.
 """
 
 from __future__ import annotations
@@ -28,11 +24,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product, starmap
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from typing import NamedTuple, Sequence
 
 from . import fallbacks
 from .errors import GedTimeoutError
@@ -49,45 +41,56 @@ _DELETED = -1
 class CostModel:
     """Edit-operation costs driving both distance variants.
 
-    ``edge_substitute`` receives the two edge labels; the edge endpoints are
-    fixed by the node mapping, so the label is the only free attribute. The
-    search needs it to return 0 for equal labels (it charges identical edge
-    multisets nothing without solving an assignment) and, for differing
-    labels, a value no smaller than ``min(edge_delete, edge_insert)`` (its
-    edge-surplus bound). The assignments need no triangle inequality: a
-    substitution dearer than a deletion plus an insertion is never picked.
+    Nodes of equal type and label substitute for 0, of equal type only for
+    ``node_relabel``, and otherwise for ``node_retype``. Edges, whose
+    endpoints the node mapping fixes, substitute for 0 if their labels are
+    equal and for ``edge_relabel`` otherwise. ``math.inf`` forbids a
+    substitution; every other cost is finite. Costs are non-negative and
+    ``node_relabel <= node_retype``, which makes ``_assign`` exact;
+    ``ged_astar`` also needs ``edge_relabel >= min(edge_delete,
+    edge_insert)`` for its edge bound.
 
     ``mcost_n`` and ``mcost_e`` are the per-node and per-edge maximum costs
     used by the distance normalizations.
     """
 
-    node_substitute: Callable[[Node, Node], float]
+    node_relabel: float
+    node_retype: float
     node_delete: float
     node_insert: float
-    edge_substitute: Callable[[str, str], float]
+    edge_relabel: float
     edge_delete: float
     edge_insert: float
     mcost_n: float
     mcost_e: float
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be a non-negative number, not {value!r}")
+            if value == math.inf and name not in ("node_relabel", "node_retype", "edge_relabel"):
+                raise ValueError(f"{name} must be finite; only substitutions may be forbidden")
+        if self.node_relabel > self.node_retype:
+            raise ValueError("node_relabel must not exceed node_retype")
 
-def _default_node_substitute(a: Node, b: Node) -> float:
-    if a.node_type == b.node_type:
-        return 0.0 if a.label == b.label else 1.0
-    return 2.0
+    def node_substitute(self, u: Node, v: Node) -> float:
+        if u.node_type != v.node_type:
+            return self.node_retype
+        return 0.0 if u.label == v.label else self.node_relabel
+
+    def edge_substitute(self, label_a: str, label_b: str) -> float:
+        return 0.0 if label_a == label_b else self.edge_relabel
 
 
-def _default_edge_substitute(label_a: str, label_b: str) -> float:
-    return 0.0 if label_a == label_b else 2.0
-
-
+@functools.cache
 def default_cost_model() -> CostModel:
     """Uniform cost model: relabel 1, retype 2, every delete/insert 2."""
     return CostModel(
-        node_substitute=_default_node_substitute,
+        node_relabel=1.0,
+        node_retype=2.0,
         node_delete=2.0,
         node_insert=2.0,
-        edge_substitute=_default_edge_substitute,
+        edge_relabel=2.0,
         edge_delete=2.0,
         edge_insert=2.0,
         mcost_n=2.0,
@@ -179,7 +182,7 @@ class _MappingSearch:
             [(l, eb[k][l] + eb[l][k]) for l in nbr] for k, nbr in enumerate(self.nbr_b)
         ]
 
-        self.sub = _cost_matrix(cm.node_substitute, self.a_nodes, self.b_nodes).tolist()
+        self.sub = [[cm.node_substitute(u, v) for v in self.b_nodes] for u in self.a_nodes]
         self.row_order = [
             sorted(
                 (k for k, cost in enumerate(row) if cost < cm.node_delete),
@@ -379,13 +382,16 @@ def ged_astar(
     when the deadline fires first, the best complete edit path found so far
     is returned with ``complete=False``. Raises ``GedTimeoutError`` only if
     no complete path exists by the deadline. A NaN ``timeout`` raises
-    ``ValueError``, since no deadline would ever pass.
+    ``ValueError``, since no deadline would ever pass, and so does a model
+    whose ``edge_relabel`` is below ``min(edge_delete, edge_insert)``.
     """
     a.require_non_empty()
     b.require_non_empty()
     if math.isnan(timeout):
         raise ValueError("timeout must not be NaN")
     cm = cost_model or default_cost_model()
+    if cm.edge_relabel < min(cm.edge_delete, cm.edge_insert):
+        raise ValueError("the search needs edge_relabel >= min(edge_delete, edge_insert)")
     deadline = time.monotonic() + timeout
     return _MappingSearch(a, b, cm, deadline).run()
 
@@ -433,54 +439,63 @@ def dist_ged_astar(
     return _clamp_unit(value, "normalized edit distance")
 
 
-def _cost_matrix(substitute: Callable[..., float], xs: Sequence, ys: Sequence) -> np.ndarray:
-    """The len(xs)×len(ys) matrix of ``substitute(x, y)``."""
-    n, m = len(xs), len(ys)
-    costs = np.fromiter(starmap(substitute, product(xs, ys)), float, n * m)
-    return costs.reshape(n, m)
-
-
 def _assign(
-    sub: np.ndarray, delete: float, insert: float
+    keys_a: Sequence[tuple], keys_b: Sequence[tuple], costs: Sequence[float],
+    delete: float, insert: float,
 ) -> tuple[float, list[tuple[int, int]]]:
-    """Cheapest partial matching of n items against m, on the clipped gains.
+    """Cheapest partial matching of n keyed items against m.
 
-    ``sub`` is the n×m substitution matrix; an unmatched row costs
+    Substituting two items whose keys share a prefix of exactly length d
+    costs ``costs[d]``, which must not grow with d; an unmatched row costs
     ``delete`` and an unmatched column ``insert``. Returns the total cost
-    and the substituted (row, column) pairs: the picked cells of negative
-    gain. A picked cell of gain 0 is a deletion plus an insertion; the cost
-    is the same.
+    and the sorted substituted (row, column) pairs, lowest indices paired
+    first within a class.
     """
-    gains = np.minimum(sub - (delete + insert), 0.0)
-    rows, cols = linear_sum_assignment(gains)
-    picked = gains[rows, cols].tolist()
-    pairs = [
-        (i, k) for i, k, gain in zip(rows.tolist(), cols.tolist(), picked) if gain < 0.0
-    ]
-    n, m = sub.shape
-    return n * delete + m * insert + sum(picked), pairs
+    cost = len(keys_a) * delete + len(keys_b) * insert
+    pairs: list[tuple[int, int]] = []
+    rest_a, rest_b = list(range(len(keys_a))), list(range(len(keys_b)))
+    for depth in reversed(range(len(costs))):
+        gain = costs[depth] - (delete + insert)
+        if not gain < 0.0:
+            break
+        waiting: dict[tuple, list[int]] = {}
+        for i in reversed(rest_a):
+            waiting.setdefault(keys_a[i][:depth], []).append(i)
+        unpaired_b = []
+        for k in rest_b:
+            rows = waiting.get(keys_b[k][:depth])
+            if rows:
+                pairs.append((rows.pop(), k))
+                cost += gain
+            else:
+                unpaired_b.append(k)
+        rest_a = sorted(i for rows in waiting.values() for i in rows)
+        rest_b = unpaired_b
+    pairs.sort()
+    return cost, pairs
 
 
 def _assign_nodes(a: AUG, b: AUG, cm: CostModel) -> tuple[float, list[tuple[int, int]]]:
     """Optimal node-only assignment over both graphs' nodes in id order."""
     a.require_non_empty()
     b.require_non_empty()
-    sub = _cost_matrix(cm.node_substitute, a.nodes_in_id_order, b.nodes_in_id_order)
-    return _assign(sub, cm.node_delete, cm.node_insert)
+    keys_a, keys_b = ([(u.node_type, u.label) for u in g.nodes_in_id_order] for g in (a, b))
+    costs = (cm.node_retype, cm.node_relabel, 0.0)
+    return _assign(keys_a, keys_b, costs, cm.node_delete, cm.node_insert)
 
 
 def _assign_edges(
     labels_a: Sequence[str], labels_b: Sequence[str], cm: CostModel
 ) -> tuple[float, list[tuple[int, int]]]:
     """Cheapest edit of one node pair's edge-label multiset into another's."""
-    sub = _cost_matrix(cm.edge_substitute, labels_a, labels_b)
-    return _assign(sub, cm.edge_delete, cm.edge_insert)
+    keys_a, keys_b = [(x,) for x in labels_a], [(y,) for y in labels_b]
+    return _assign(keys_a, keys_b, (cm.edge_relabel, 0.0), cm.edge_delete, cm.edge_insert)
 
 
 def hungarian_assignment(
     a: AUG, b: AUG, cost_model: CostModel | None = None
 ) -> tuple[float, list[tuple[str, str]]]:
-    """Optimal node-only assignment, solved on the n×m gain matrix.
+    """Optimal node-only assignment, paired class by class.
 
     Returns the assignment's total cost and the substitution pairs it chose,
     each costing less than a deletion plus an insertion. A substitution
@@ -565,19 +580,13 @@ def _edge_pair_ops(
     image = dict(_assign_edges(labels_a, labels_b, cm)[1])
     ops: list[EditOp] = []
     for i, la in enumerate(labels_a):
-        k = image.get(i)
-        if k is None:
-            ops.append(EditOp("edge-del", (*source_pair, la), None, cm.edge_delete))
+        source = (*source_pair, la)
+        if i in image:
+            lb = labels_b[image[i]]
+            target = (*target_pair, lb)
+            ops.append(EditOp("edge-sub", source, target, cm.edge_substitute(la, lb)))
         else:
-            lb = labels_b[k]
-            ops.append(
-                EditOp(
-                    "edge-sub",
-                    (*source_pair, la),
-                    (*target_pair, lb),
-                    cm.edge_substitute(la, lb),
-                )
-            )
+            ops.append(EditOp("edge-del", source, None, cm.edge_delete))
     matched = set(image.values())
     for k, lb in enumerate(labels_b):
         if k not in matched:

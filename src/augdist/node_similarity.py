@@ -33,7 +33,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import fallbacks
 from .errors import DegenerateStructureError
@@ -215,6 +214,9 @@ def similarity_matrix(
 
 
 def _distance(a: AUG, b: AUG, matrix: SimilarityMatrix) -> float:
+    # imported here, so that only node-sim pays for loading scipy
+    from scipy.optimize import linear_sum_assignment
+
     if not matrix.converged:
         logger.debug(
             "similarity of %r vs %r stopped at %d iterations without converging",

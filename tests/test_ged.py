@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -168,7 +169,7 @@ class TestSearchMatchesReference:
         rng = random.Random(seed)
         a = random_aug(rng, "a", max_nodes=6, max_edges=8)
         b = random_aug(rng, "b", max_nodes=6, max_edges=8)
-        for cm in (default_cost_model(), mcs_cost_model(a, b)):
+        for cm in (default_cost_model(), mcs_cost_model()):
             expected, expected_expansions = _counted_search(ReferenceMappingSearch, a, b, cm)
             result, expansions = _counted_search(_MappingSearch, a, b, cm)
             assert result == expected
@@ -206,37 +207,62 @@ class TestHungarian:
         assert pairs == [("n1", "n2")]
 
 
-def _fractional_substitute(u: Node, v: Node) -> float:
-    if u.node_type == v.node_type:
-        return 0.0 if u.label == v.label else 0.3
-    if "return" in (u.node_type, v.node_type):
-        return math.inf
-    return 2.0  # exactly delete plus insert
-
-
-def _fractional_edge_substitute(x: str, y: str) -> float:
-    if x == y:
-        return 0.0
-    pair = {x, y}
-    if pair == {"recv", "sel"}:
-        return math.inf  # though recv -> para -> sel costs 1.6
-    if "order" in pair:
-        return 2.0  # exactly delete plus insert
-    return 0.8
-
-
-# Fractional substitutions, forbidden ones, and a substitution that ties with a
-# deletion plus an insertion; the edge costs break the triangle inequality.
+# Fractional costs, and a retype that ties with a deletion plus an insertion.
 FRACTIONAL = CostModel(
-    node_substitute=_fractional_substitute,
+    node_relabel=0.3,
+    node_retype=2.0,
     node_delete=0.75,
     node_insert=1.25,
-    edge_substitute=_fractional_edge_substitute,
+    edge_relabel=0.8,
     edge_delete=0.75,
     edge_insert=1.25,
     mcost_n=2.0,
     mcost_e=1.0,
 )
+
+_QUARTERS = st.integers(min_value=1, max_value=12).map(lambda k: k / 4)
+
+
+@st.composite
+def _class_cost_models(draw) -> CostModel:
+    """Fractional class costs, nondecreasing as classes widen; a substitution
+    may tie with a deletion plus an insertion or be forbidden."""
+    node_delete, node_insert, edge_delete, edge_insert = (draw(_QUARTERS) for _ in range(4))
+
+    def substitution(tie: float) -> float:
+        return draw(st.one_of(_QUARTERS, st.just(tie), st.just(math.inf)))
+
+    relabel, retype = sorted(substitution(node_delete + node_insert) for _ in range(2))
+    return CostModel(
+        node_relabel=relabel,
+        node_retype=retype,
+        node_delete=node_delete,
+        node_insert=node_insert,
+        edge_relabel=substitution(edge_delete + edge_insert),
+        edge_delete=edge_delete,
+        edge_insert=edge_insert,
+        mcost_n=1.0,
+        mcost_e=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"node_relabel": math.nan}, "node_relabel must be a non-negative number"),
+        ({"edge_insert": -0.5}, "edge_insert must be a non-negative number"),
+        ({"node_delete": math.inf}, "node_delete must be finite"),
+        ({"node_relabel": 2.5}, "node_relabel must not exceed node_retype"),
+        ({"edge_relabel": 1.5}, "edge_relabel >= min"),
+    ],
+)
+def test_models_without_an_exact_solution_rejected(changes, message):
+    # the greedy assignment needs finite deletions and insertions and costs
+    # that grow as classes widen; the search's edge-surplus bound needs an
+    # edge relabel no cheaper than the cheaper of an edge deletion and an
+    # insertion
+    with pytest.raises(ValueError, match=message):
+        ged_astar(ONE_ACTION, GROWN, dataclasses.replace(default_cost_model(), **changes))
 
 
 @st.composite
@@ -256,18 +282,19 @@ def _small_alphabet_graph(draw, name: str) -> AUG:
 
 
 class TestAssignmentMatchesPaddedReference:
-    """The n×m gain matrix gives the padded matrix's optimum, with valid pairs."""
+    """The class-by-class assignment gives the padded matrix's optimum, with valid pairs."""
 
     @settings(max_examples=300, deadline=None)
-    @given(a=_small_alphabet_graph("a"), b=_small_alphabet_graph("b"))
-    def test_same_cost_and_a_valid_matching(self, a, b):
+    @given(a=_small_alphabet_graph("a"), b=_small_alphabet_graph("b"), drawn=_class_cost_models())
+    def test_same_cost_and_a_valid_matching(self, a, b, drawn):
         models = (
             ("default", default_cost_model()),
-            ("mcs", mcs_cost_model(a, b)),
+            ("mcs", mcs_cost_model()),
             ("fractional", FRACTIONAL),
+            ("drawn", drawn),
         )
         for name, cm in models:
-            exact = name != "fractional"
+            exact = name in ("default", "mcs")
             expected, _ = reference_hungarian_assignment(a, b, cm)
             cost, pairs = hungarian_assignment(a, b, cm)
             assert cost == (expected if exact else pytest.approx(expected, abs=1e-9))
@@ -297,11 +324,11 @@ _EDGE_LABELS = st.lists(st.sampled_from(("recv", "para", "order", "sel")), max_s
 
 
 class TestEdgeMatchingMatchesReference:
-    """The clipped-gain edge matching costs what the exhaustive recursion does."""
+    """The class-by-class edge matching costs what the exhaustive recursion does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(labels_a=_EDGE_LABELS, labels_b=_EDGE_LABELS)
-    def test_same_cost_and_a_valid_matching(self, labels_a, labels_b):
+    @given(labels_a=_EDGE_LABELS, labels_b=_EDGE_LABELS, drawn=_class_cost_models())
+    def test_same_cost_and_a_valid_matching(self, labels_a, labels_b, drawn):
         labels_a, labels_b = sorted(labels_a), sorted(labels_b)
         a, b = _parallel_edges("a", labels_a), _parallel_edges("b", labels_b)
         labels = sorted({*labels_a, *labels_b})
@@ -309,11 +336,12 @@ class TestEdgeMatchingMatchesReference:
         ids_b = tuple(labels.index(x) for x in labels_b)
         models = (
             ("default", default_cost_model()),
-            ("mcs", mcs_cost_model(a, b)),
+            ("mcs", mcs_cost_model()),
             ("fractional", FRACTIONAL),
+            ("drawn", drawn),
         )
         for name, cm in models:
-            exact = name != "fractional"
+            exact = name in ("default", "mcs")
             expected, _ = reference_match_with_ops(cm, tuple(labels_a), tuple(labels_b))
             cost, pairs = _assign_edges(labels_a, labels_b, cm)
             assert cost == (expected if exact else pytest.approx(expected, abs=1e-9))
@@ -366,7 +394,7 @@ class TestPreparedNodeOrder:
             assert "nodes_in_id_order" in vars(restored)
             assert restored.nodes_in_id_order == a.nodes_in_id_order
             fresh = AUG(a.name, a.nodes, a.edges)
-            for cm in (default_cost_model(), mcs_cost_model(a, b)):
+            for cm in (default_cost_model(), mcs_cost_model()):
                 assert hungarian_assignment(restored, b, cm) == hungarian_assignment(fresh, b, cm)
                 assert hungarian_assignment(b, restored, cm) == hungarian_assignment(b, fresh, cm)
 
@@ -415,7 +443,7 @@ def _edit_path_pairs(seed: int, count: int) -> list[tuple[AUG, AUG]]:
 class TestEditPath:
     def test_total_cost_matches_search_cost(self):
         for a, b in _edit_path_pairs(seed=31, count=40):
-            for cm in (default_cost_model(), mcs_cost_model(a, b)):
+            for cm in (default_cost_model(), mcs_cost_model()):
                 result = ged_astar(a, b, cm, timeout=60.0)
                 path = edit_path(a, b, result, cm)
                 assert path.total_cost == pytest.approx(result.cost)

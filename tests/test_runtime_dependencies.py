@@ -1,9 +1,13 @@
-"""The package imports nothing beyond the standard library, numpy and scipy.
+"""The package imports nothing beyond the standard library, numpy and scipy,
+and loads scipy only when node-sim needs its assignment solver.
 
-Checked statically, from each module's syntax tree, so no module is imported.
+The first is checked statically, from each module's syntax tree, so no
+module is imported; the second in a fresh interpreter.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +46,16 @@ def test_package_imports_only_stdlib_numpy_and_scipy():
         if name not in ALLOWED
     }
     assert not outside, sorted(outside)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, augdist.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert probe.stdout.strip() == "False"
