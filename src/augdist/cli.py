@@ -44,7 +44,7 @@ from .evaluation import (
     write_detection_csv,
     write_timing_csv,
 )
-from .graphs import CorrectionRule
+from .graphs import AUG, CorrectionRule
 
 logger = logging.getLogger(__name__)
 
@@ -192,19 +192,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
 
 
+def _read_graph(path: Path) -> AUG | None:
+    """The graph in a DOT file, or None once the reason it is unreadable is printed."""
+    try:
+        return parse_aug(Path(path).read_text(encoding="utf-8"))
+    except (OSError, DotSyntaxError, SchemaError, ValueError) as exc:
+        print(f"error: cannot read graph from {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_dist(file_a: Path, file_b: Path, config: RunConfig) -> int:
     """Print the configured distance between two graphs to 6 decimal places."""
-    graphs = []
-    for path in (file_a, file_b):
-        try:
-            graphs.append(parse_aug(Path(path).read_text(encoding="utf-8")))
-        except (OSError, DotSyntaxError, SchemaError, ValueError) as exc:
-            print(f"error: cannot read graph from {path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+    if (a := _read_graph(file_a)) is None or (b := _read_graph(file_b)) is None:
+        return EXIT_PARSE
     dist = build_distance(config)
     fallbacks.take()  # count this call's fallbacks only
     try:
-        value = dist(graphs[0], graphs[1])
+        value = dist(a, b)
     except (EmptyGraphError, DegenerateStructureError, GedTimeoutError) as exc:
         print(f"error: distance incomputable: {exc}", file=sys.stderr)
         return EXIT_INCOMPUTABLE
@@ -215,8 +219,12 @@ def cmd_dist(file_a: Path, file_b: Path, config: RunConfig) -> int:
     return EXIT_OK
 
 
-# Per-process state for the worker pool; rebuilt by the initializer so only
-# picklable values cross process boundaries.
+# A rule's applicability verdict (None if unchecked), detection report (None
+# unless applicable) and timing rows.
+RuleResult = tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]]
+
+# Per-process state of a pool worker, set by the pool initializer so the
+# dataset crosses the process boundary once, not once per rule.
 _WORKER_CONFIG: RunConfig | None = None
 _WORKER_DATASET: Dataset | None = None
 
@@ -227,21 +235,19 @@ def _init_worker(config: RunConfig, dataset: Dataset) -> None:
     _WORKER_DATASET = dataset
 
 
-def _evaluate_rule(
-    rule: CorrectionRule,
-) -> tuple[
-    tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]],
-    tuple[int, int, int],
-]:
-    """One rule's results and its fallbacks counts, as ``fallbacks.take()``."""
-    assert _WORKER_CONFIG is not None and _WORKER_DATASET is not None
-    result = evaluate_rule(rule, _WORKER_DATASET, _WORKER_CONFIG)
-    return result, fallbacks.take()
-
-
-def evaluate_rule(
+def _evaluate_counted(
     rule: CorrectionRule, dataset: Dataset, config: RunConfig
-) -> tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]]:
+) -> tuple[RuleResult, tuple[int, int, int]]:
+    """One rule's results and its fallbacks counts, as ``fallbacks.take()``."""
+    return evaluate_rule(rule, dataset, config), fallbacks.take()
+
+
+def _evaluate_in_worker(rule: CorrectionRule) -> tuple[RuleResult, tuple[int, int, int]]:
+    assert _WORKER_CONFIG is not None and _WORKER_DATASET is not None
+    return _evaluate_counted(rule, _WORKER_DATASET, _WORKER_CONFIG)
+
+
+def evaluate_rule(rule: CorrectionRule, dataset: Dataset, config: RunConfig) -> RuleResult:
     """Applicability verdict, detection report (if applicable) and timings.
 
     The verdict is None when the rule cannot be checked on this corpus.
@@ -273,9 +279,6 @@ def cmd_evaluate(
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    results: list[
-        tuple[ApplicabilityVerdict | None, DetectionReport | None, list[TimingRow]]
-    ]
     fallbacks.take()  # count this run's fallbacks only
     if config.workers > 1 and len(rules) > 1:
         with concurrent.futures.ProcessPoolExecutor(
@@ -283,12 +286,11 @@ def cmd_evaluate(
             initializer=_init_worker,
             initargs=(config, dataset),
         ) as pool:
-            outcomes = list(pool.map(_evaluate_rule, rules))
-        results = [result for result, _ in outcomes]
-        totals = [sum(column) for column in zip(*(counts for _, counts in outcomes))]
+            outcomes = list(pool.map(_evaluate_in_worker, rules))
     else:
-        results = [evaluate_rule(rule, dataset, config) for rule in rules]
-        totals = fallbacks.take()
+        outcomes = [_evaluate_counted(rule, dataset, config) for rule in rules]
+    results = [result for result, _ in outcomes]
+    totals = [sum(column) for column in zip(*(counts for _, counts in outcomes))]
     for total, summary in zip(totals, _FALLBACK_SUMMARIES):
         if total:
             logger.warning(summary, total)
@@ -312,10 +314,7 @@ def cmd_evaluate(
 
 def cmd_features(file: Path) -> int:
     """Dump a graph's feature vector as sorted feature<TAB>count lines."""
-    try:
-        graph = parse_aug(Path(file).read_text(encoding="utf-8"))
-    except (OSError, DotSyntaxError, SchemaError, ValueError) as exc:
-        print(f"error: cannot read graph from {file}: {exc}", file=sys.stderr)
+    if (graph := _read_graph(file)) is None:
         return EXIT_PARSE
     try:
         vector = exas.extract_features(graph)

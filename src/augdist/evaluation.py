@@ -19,7 +19,7 @@ import csv
 import logging
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -182,41 +182,31 @@ def distance_table(
     return table
 
 
-def _mean(table: DistanceTable, side: str, entries: Iterable[AUG], context: str) -> float:
-    values = [table[(side, entry.name)].value for entry in entries]
-    computable = [value for value in values if value is not None]
-    if not computable:
-        raise InsufficientDataError(f"no computable entries for {context}")
-    return sum(computable) / len(computable)
-
-
 def is_applicable(
     rule: CorrectionRule, dataset: Dataset, table: DistanceTable
 ) -> ApplicabilityVerdict:
-    """Evaluate the four strict mean-distance inequalities for one rule."""
+    """Evaluate the four strict mean-distance inequalities for one rule.
+
+    Each mean skips the incomputable cells of its side and partition; one
+    without any computable cell raises ``InsufficientDataError``.
+    """
     if not dataset.correct or not dataset.misuse:
         raise InsufficientDataError(
             f"rule {rule.name!r} needs both correct and misuse entries"
         )
-    mean_fc = _mean(table, SIDE_FIX, dataset.correct, f"{rule.name}/fix-vs-correct")
-    mean_fm = _mean(table, SIDE_FIX, dataset.misuse, f"{rule.name}/fix-vs-misuse")
-    mean_mc = _mean(
-        table, SIDE_MISUSE, dataset.correct, f"{rule.name}/misuse-vs-correct"
-    )
-    mean_mm = _mean(
-        table, SIDE_MISUSE, dataset.misuse, f"{rule.name}/misuse-vs-misuse"
-    )
-    return ApplicabilityVerdict(
-        rule_id=rule.name,
-        mean_fix_to_correct=mean_fc,
-        mean_fix_to_misuse=mean_fm,
-        mean_misuse_to_correct=mean_mc,
-        mean_misuse_to_misuse=mean_mm,
-        fix_prefers_correct=mean_fc < mean_fm,
-        misuse_prefers_misuse=mean_mc > mean_mm,
-        fix_closer_to_correct=mean_fc < mean_mc,
-        misuse_closer_to_misuse=mean_fm > mean_mm,
-    )
+    means = []
+    for side in (SIDE_FIX, SIDE_MISUSE):
+        for label, entries in ((LABEL_CORRECT, dataset.correct), (LABEL_MISUSE, dataset.misuse)):
+            values = [table[(side, entry.name)].value for entry in entries]
+            computable = [value for value in values if value is not None]
+            if not computable:
+                raise InsufficientDataError(
+                    f"no computable entries for {rule.name}/{side}-vs-{label}"
+                )
+            # a numpy mean would make numpy flags, which the CSV would not spell
+            means.append(float(sum(computable) / len(computable)))
+    fc, fm, mc, mm = means
+    return ApplicabilityVerdict(rule.name, fc, fm, mc, mm, fc < fm, mc > mm, fc < mc, fm > mm)
 
 
 def score(
@@ -353,65 +343,37 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
 # -- CSV reports --------------------------------------------------------------
 
 
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
+def _field(value: object) -> object:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_field(value) for value in row] for row in rows)
+
+
+_APPLICABILITY_COLUMNS = (*(f.name for f in fields(ApplicabilityVerdict)), "applicable")
 
 
 def write_applicability_csv(path: Path, verdicts: Iterable[ApplicabilityVerdict]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            [
-                "rule_id",
-                "mean_fix_to_correct",
-                "mean_fix_to_misuse",
-                "mean_misuse_to_correct",
-                "mean_misuse_to_misuse",
-                "fix_prefers_correct",
-                "misuse_prefers_misuse",
-                "fix_closer_to_correct",
-                "misuse_closer_to_misuse",
-                "applicable",
-            ]
-        )
-        for verdict in verdicts:
-            writer.writerow(
-                [
-                    verdict.rule_id,
-                    f"{verdict.mean_fix_to_correct:.6f}",
-                    f"{verdict.mean_fix_to_misuse:.6f}",
-                    f"{verdict.mean_misuse_to_correct:.6f}",
-                    f"{verdict.mean_misuse_to_misuse:.6f}",
-                    _flag(verdict.fix_prefers_correct),
-                    _flag(verdict.misuse_prefers_misuse),
-                    _flag(verdict.fix_closer_to_correct),
-                    _flag(verdict.misuse_closer_to_misuse),
-                    _flag(verdict.applicable),
-                ]
-            )
+    rows = ([getattr(verdict, name) for name in _APPLICABILITY_COLUMNS] for verdict in verdicts)
+    _write_csv(path, _APPLICABILITY_COLUMNS, rows)
 
 
 def write_detection_csv(path: Path, reports: Iterable[DetectionReport]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rule_id", "fp", "tp", "fn", "tn", "precision", "recall"])
-        for report in reports:
-            writer.writerow(
-                [
-                    report.rule_id,
-                    report.fp,
-                    report.tp,
-                    report.fn,
-                    report.tn,
-                    f"{report.precision * 100:.2f}",
-                    f"{report.recall * 100:.2f}",
-                ]
-            )
+    header = ("rule_id", "fp", "tp", "fn", "tn", "precision", "recall")
+    rows = (
+        (r.rule_id, r.fp, r.tp, r.fn, r.tn, f"{r.precision * 100:.2f}", f"{r.recall * 100:.2f}")
+        for r in reports
+    )
+    _write_csv(path, header, rows)
 
 
 def write_timing_csv(path: Path, rows: Iterable[TimingRow]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["algo", "rule_id", "elapsed_seconds"])
-        for row in rows:
-            writer.writerow([row.algo, row.rule_id, f"{row.elapsed_seconds:.6f}"])
+    _write_csv(path, TimingRow._fields, rows)

@@ -51,7 +51,7 @@ class CostModel:
     edge_insert)`` for its edge bound.
 
     ``mcost_n`` and ``mcost_e`` are the per-node and per-edge maximum costs
-    used by the distance normalizations.
+    used by the distance normalizations, and must be positive.
     """
 
     node_relabel: float
@@ -72,6 +72,9 @@ class CostModel:
                 raise ValueError(f"{name} must be finite; only substitutions may be forbidden")
         if self.node_relabel > self.node_retype:
             raise ValueError("node_relabel must not exceed node_retype")
+        for name in ("mcost_n", "mcost_e"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive: the distances divide by it")
 
     def node_substitute(self, u: Node, v: Node) -> float:
         if u.node_type != v.node_type:
@@ -524,11 +527,13 @@ def dist_ged_hungarian(a: AUG, b: AUG, cost_model: CostModel | None = None) -> f
 def edit_path(a: AUG, b: AUG, result: GedResult, cost_model: CostModel | None = None) -> EditPath:
     """Expand a search result's node mapping into explicit edit operations.
 
-    Node operations come first (decisions on ``a`` nodes in id order, then
-    insertions in id order), followed by edge operations pair by pair.
-    Within a mapped pair, each source label in sorted order is substituted
-    or deleted, then the unmatched target labels are inserted in sorted
-    order. The listed costs sum to the mapping's total edit cost.
+    Node operations come first, in the mapping's order. Edge operations
+    follow, one node pair at a time: each source pair in sorted order
+    against its image under the mapping, then each target pair no source
+    pair met, in sorted order. Within a pair, each source label in sorted
+    order is substituted or deleted, then the unmatched target labels are
+    inserted in sorted order. The listed costs sum to the mapping's total
+    edit cost.
     """
     cm = cost_model or default_cost_model()
     image: dict[str, str | None] = {}
@@ -544,26 +549,15 @@ def edit_path(a: AUG, b: AUG, result: GedResult, cost_model: CostModel | None = 
             cost = cm.node_substitute(a.nodes_by_id[source_id], b.nodes_by_id[target_id])
             ops.append(EditOp("node-sub", (source_id,), (target_id,), cost))
 
-    handled_b: set[tuple[str, str]] = set()
+    # A pair with a deleted endpoint meets no target pair: its edges are all
+    # deleted, as an unmet target pair's are all inserted.
+    unmet_b = dict(b.edge_label_counts)
     for (u, v), counts in sorted(a.edge_label_counts.items()):
-        u_img, v_img = image.get(u), image.get(v)
-        if u_img is None or v_img is None:
-            for label in sorted(counts.elements()):
-                ops.append(EditOp("edge-del", (u, v, label), None, cm.edge_delete))
-            continue
-        target_counts = b.edge_label_counts.get((u_img, v_img), Counter())
-        handled_b.add((u_img, v_img))
-        ops.extend(
-            _edge_pair_ops(cm, (u, v), counts, (u_img, v_img), target_counts)
-        )
-    # Remaining target edges were never paired against source edges: either an
-    # endpoint is a fresh insertion, or the matched pair simply has no edges
-    # on the source side. Both cases are pure edge insertions.
-    for (x, y), counts in sorted(b.edge_label_counts.items()):
-        if (x, y) in handled_b:
-            continue
-        for label in sorted(counts.elements()):
-            ops.append(EditOp("edge-ins", None, (x, y, label), cm.edge_insert))
+        target_pair = (image.get(u), image.get(v))
+        target_counts = unmet_b.pop(target_pair, Counter())
+        ops.extend(_edge_pair_ops(cm, (u, v), counts, target_pair, target_counts))
+    for pair, counts in sorted(unmet_b.items()):
+        ops.extend(_edge_pair_ops(cm, pair, Counter(), pair, counts))
     total = sum(op.cost for op in ops)
     return EditPath(tuple(ops), total)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .ged import CostModel, _assign_nodes, _clamp_unit, hungarian_assignment
+from .ged import CostModel, dist_ged_hungarian, hungarian_assignment
 from .graphs import AUG
 
 
@@ -40,9 +40,8 @@ def mcs_assignment(a: AUG, b: AUG) -> tuple[float, list[tuple[str, str]]]:
 def dist_mcs_hungarian(a: AUG, b: AUG) -> float:
     """Common-subgraph distance from the node-only assignment, in [0, 1].
 
-    Normalized by the larger node count; the delete-plus-insert cost of two
-    disjoint graphs can exceed that denominator, hence the clamp.
+    The node-assignment distance under ``mcs_cost_model``, normalized by the
+    larger node count; the delete-plus-insert cost of two disjoint graphs
+    can exceed that denominator, hence the clamp.
     """
-    cost = _assign_nodes(a, b, mcs_cost_model())[0]
-    value = cost / max(a.node_count, b.node_count)
-    return _clamp_unit(value, "common-subgraph distance")
+    return dist_ged_hungarian(a, b, mcs_cost_model())

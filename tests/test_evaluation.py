@@ -194,6 +194,28 @@ class TestApplicability:
         with pytest.raises(InsufficientDataError):
             _verdict(dataset, dead)
 
+    @pytest.mark.parametrize(
+        "side, entry, context",
+        [
+            ("fix", "c0", "fix-vs-correct"),
+            ("fix", "m0", "fix-vs-misuse"),
+            ("misuse", "c0", "misuse-vs-correct"),
+            ("misuse", "m0", "misuse-vs-misuse"),
+        ],
+    )
+    def test_insufficient_data_names_the_mean(self, side, entry, context):
+        reference = getattr(RULE, side)
+
+        def dist(a, b):
+            if a is reference and b.name == entry:
+                raise DegenerateStructureError("collapsed")
+            return 0.5
+
+        dataset = Dataset((_renamed(FIX, "c0"),), (_renamed(MISUSE, "m0"),))
+        message = f"^no computable entries for iter_rule/{context}$"
+        with pytest.raises(InsufficientDataError, match=message):
+            _verdict(dataset, dist)
+
     def test_mean_invariant_under_reordering(self):
         correct = tuple(_renamed(FIX, f"c{i}") for i in range(3))
         misuse = (

@@ -13,6 +13,7 @@ from augdist import (
     AUG,
     CostModel,
     EmptyGraphError,
+    GedResult,
     GedTimeoutError,
     Node,
     default_cost_model,
@@ -254,13 +255,16 @@ def _class_cost_models(draw) -> CostModel:
         ({"node_delete": math.inf}, "node_delete must be finite"),
         ({"node_relabel": 2.5}, "node_relabel must not exceed node_retype"),
         ({"edge_relabel": 1.5}, "edge_relabel >= min"),
+        ({"mcost_n": 0.0}, "mcost_n must be positive"),
+        ({"mcost_e": 0.0}, "mcost_e must be positive"),
+        ({"mcost_n": -0.0}, "mcost_n must be positive"),
     ],
 )
 def test_models_without_an_exact_solution_rejected(changes, message):
     # the greedy assignment needs finite deletions and insertions and costs
     # that grow as classes widen; the search's edge-surplus bound needs an
     # edge relabel no cheaper than the cheaper of an edge deletion and an
-    # insertion
+    # insertion; the normalized distances divide by mcost_n and mcost_e
     with pytest.raises(ValueError, match=message):
         ged_astar(ONE_ACTION, GROWN, dataclasses.replace(default_cost_model(), **changes))
 
@@ -441,6 +445,34 @@ def _edit_path_pairs(seed: int, count: int) -> list[tuple[AUG, AUG]]:
 
 
 class TestEditPath:
+    def test_operation_order(self):
+        # y's image q has no edge back to p, z is deleted and r inserted
+        a = aug(
+            "a",
+            [("x", "A.m()", "action"), ("y", "A", "data"), ("z", "B.m()", "action")],
+            [("x", "y", "recv"), ("x", "y", "para"), ("z", "x", "order")],
+        )
+        b = aug(
+            "b",
+            [("p", "A.m()", "action"), ("q", "A", "data"), ("r", "C.m()", "action")],
+            [("p", "q", "recv"), ("p", "q", "def"), ("r", "p", "order"), ("q", "p", "order")],
+        )
+        mapping = (("x", "p"), ("y", "q"), ("z", None), (None, "r"))
+        path = edit_path(a, b, GedResult(7.0, True, mapping), mcs_cost_model())
+        assert [tuple(op) for op in path.ops] == [
+            ("node-sub", ("x",), ("p",), 0.0),
+            ("node-sub", ("y",), ("q",), 0.0),
+            ("node-del", ("z",), None, 1.0),
+            ("node-ins", None, ("r",), 1.0),
+            ("edge-del", ("x", "y", "para"), None, 1.0),
+            ("edge-sub", ("x", "y", "recv"), ("p", "q", "recv"), 0.0),
+            ("edge-ins", None, ("p", "q", "def"), 1.0),
+            ("edge-del", ("z", "x", "order"), None, 1.0),
+            ("edge-ins", None, ("q", "p", "order"), 1.0),
+            ("edge-ins", None, ("r", "p", "order"), 1.0),
+        ]
+        assert path.total_cost == 7.0
+
     def test_total_cost_matches_search_cost(self):
         for a, b in _edit_path_pairs(seed=31, count=40):
             for cm in (default_cost_model(), mcs_cost_model()):

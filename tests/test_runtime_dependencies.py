@@ -1,8 +1,9 @@
 """The package imports nothing beyond the standard library, numpy and scipy,
-and loads scipy only when node-sim needs its assignment solver.
+loads scipy only when node-sim needs its assignment solver, and no module
+imports a leading-underscore name from another module of the package.
 
-The first is checked statically, from each module's syntax tree, so no
-module is imported; the second in a fresh interpreter.
+The first and the last are checked statically, from each module's syntax
+tree, so no module is imported; the second in a fresh interpreter.
 """
 
 import ast
@@ -15,15 +16,34 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "augdist"
 ALLOWED = sys.stdlib_module_names | {"numpy", "scipy"}
 
 
+def _imports(source: str) -> list[ast.Import | ast.ImportFrom]:
+    """The import statements anywhere in a module's source."""
+    return [
+        node for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
 def _absolute_imports(source: str) -> set[str]:
     """Top-level module names of the absolute imports in a module's source."""
     names: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in _imports(source):
         if isinstance(node, ast.Import):
             names.update(alias.name.partition(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        elif node.level == 0:
             names.add(node.module.partition(".")[0])
     return names
+
+
+def _private_sibling_imports(source: str) -> set[str]:
+    """Leading-underscore names a module imports from within its package."""
+    return {
+        alias.name
+        for node in _imports(source)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or node.module.partition(".")[0] == PACKAGE.name)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
 
 
 def test_reads_absolute_imports_only():
@@ -34,6 +54,30 @@ def test_reads_absolute_imports_only():
         "from .graphs import AUG\n"
     )
     assert _absolute_imports(source) == {"os", "numpy", "scipy"}
+
+
+def test_reads_private_sibling_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from . import _private_module, ged\n"
+        "from .ged import CostModel, _assign as assign\n"
+        "from augdist.graphs import _DELETED\n"
+        "def f():\n"
+        "    from .exas import _cosine\n"
+    )
+    assert _private_sibling_imports(source) == {
+        "_private_module", "_assign", "_DELETED", "_cosine"
+    }
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    imported = {
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_sibling_imports(path.read_text(encoding="utf-8"))
+    }
+    assert not imported, sorted(imported)
 
 
 def test_package_imports_only_stdlib_numpy_and_scipy():
