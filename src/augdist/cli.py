@@ -60,11 +60,13 @@ _FALLBACK_SUMMARIES = (
     "%d distance values clamped to 1.0",
     "%d similarity iterations stopped at max-iter without converging",
     "%d exact searches found no complete edit path in time; distance set to 1.0",
+    "%d exact searches stopped at the deadline; best edit path found used",
 )
 _FALLBACK_WARNINGS = (
     "distance value clamped to 1.0",
     "similarity iteration stopped at max-iter without converging",
     "no complete edit path within the timeout; distance set to 1.0",
+    "exact search stopped at the deadline; best edit path found used",
 )
 
 
@@ -237,12 +239,12 @@ def _init_worker(config: RunConfig, dataset: Dataset) -> None:
 
 def _evaluate_counted(
     rule: CorrectionRule, dataset: Dataset, config: RunConfig
-) -> tuple[RuleResult, tuple[int, int, int]]:
+) -> tuple[RuleResult, fallbacks.Counts]:
     """One rule's results and its fallbacks counts, as ``fallbacks.take()``."""
     return evaluate_rule(rule, dataset, config), fallbacks.take()
 
 
-def _evaluate_in_worker(rule: CorrectionRule) -> tuple[RuleResult, tuple[int, int, int]]:
+def _evaluate_in_worker(rule: CorrectionRule) -> tuple[RuleResult, fallbacks.Counts]:
     assert _WORKER_CONFIG is not None and _WORKER_DATASET is not None
     return _evaluate_counted(rule, _WORKER_DATASET, _WORKER_CONFIG)
 

@@ -18,7 +18,7 @@ class EmptyGraphError(AugDistError):
 
 
 class GedTimeoutError(AugDistError):
-    """Edit search hit its deadline before finding any complete edit path."""
+    """Edit search hit its deadline before it started, so it has no complete edit path."""
 
 
 class DegenerateStructureError(AugDistError):

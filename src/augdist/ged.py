@@ -144,20 +144,28 @@ class _MappingSearch:
     deciding it settles (those to earlier nodes, and its loops) are fixed up
     front; only ``b``'s settled edges depend on the mapping.
 
-    The remaining cost is bounded from below by (a) the larger of the two
-    per-node best-case bounds (every undecided source node pays at least its
-    cheapest substitution by an unused target node or a deletion;
-    symmetrically for unused target nodes) and (b) an edge-surplus bound: of
-    the not-yet-charged edge instances, at most the label-wise overlap can
-    ever be matched for free, and each of the remaining ``max(r_a, r_b) -
-    overlap`` costs at least ``min(edge_delete, edge_insert)``. The undecided
-    source nodes are always the suffix ``depth:``, so a row's minimum scans
-    its columns, presorted by cost, to the first unused one, and a column's
-    minimum over the suffix is precomputed. Both bounds underestimate, so a
-    search that runs to completion is exact.
+    The remaining cost is bounded from below by (a) the exact cost of
+    ``_assign`` over the undecided source nodes against the unused target
+    nodes, which the node operations still to come can never beat, and (b)
+    an edge-surplus bound: of the not-yet-charged edge instances, at most
+    the label-wise overlap can ever be matched for free, and each of the
+    remaining ``max(r_a, r_b) - overlap`` costs at least ``min(edge_delete,
+    edge_insert)``. The assignment has a closed form over class counts: with
+    ``full``, ``typed`` and ``any`` the most pairs that can share a (type,
+    label) class, a type, or nothing, it pairs that many at each gain. The
+    undecided source nodes are always the suffix ``depth:``, so their counts
+    are tables built once per depth; the unused target nodes' counts change
+    where ``used`` does. Both bounds underestimate, so a search that runs to
+    completion is exact.
+
+    Pruning starts at the root: before the first expansion, ``best`` holds
+    the cost the search itself charges for the mapping of ``_assign_nodes``
+    (unpaired nodes deleted or inserted), summed in the order the search
+    would sum it. A leaf replaces it only if strictly cheaper.
     """
 
     def __init__(self, a: AUG, b: AUG, cm: CostModel, deadline: float) -> None:
+        self.a, self.b = a, b
         self.cm = cm
         self.deadline = deadline
         self.a_nodes = a.nodes_in_id_order
@@ -186,19 +194,18 @@ class _MappingSearch:
         ]
 
         self.sub = [[cm.node_substitute(u, v) for v in self.b_nodes] for u in self.a_nodes]
-        self.row_order = [
-            sorted(
-                (k for k, cost in enumerate(row) if cost < cm.node_delete),
-                key=row.__getitem__,
-            )
-            for row in self.sub
-        ]
-        floor = [cm.node_insert] * self.m
-        self.col_floor = [floor]
-        for row in reversed(self.sub):
-            floor = [min(x, y) for x, y in zip(row, floor)]
-            self.col_floor.append(floor)
-        self.col_floor.reverse()
+        self.gain_full, self.gain_typed, self.gain_any = (
+            min(cost - cm.node_delete - cm.node_insert, 0.0)
+            for cost in (0.0, cm.node_relabel, cm.node_retype)
+        )
+        # Counts of the classes and types both graphs have; a target node of
+        # any other class or type counts in a last slot no source count meets.
+        keys_a = [(u.node_type, u.label) for u in self.a_nodes]
+        keys_b = [(v.node_type, v.label) for v in self.b_nodes]
+        self.left_class, self.class_b, self.free_class = self._class_counts(keys_a, keys_b)
+        self.left_type, self.type_b, self.free_type = self._class_counts(
+            [key[0] for key in keys_a], [key[0] for key in keys_b]
+        )
 
         ids_a = [label_id[edge.label] for edge in a.edges]
         ids_b = [label_id[edge.label] for edge in b.edges]
@@ -228,18 +235,66 @@ class _MappingSearch:
             )
         return table
 
+    @staticmethod
+    def _class_counts(
+        keys_a: list, keys_b: list
+    ) -> tuple[list[list[int]], list[int], list[int]]:
+        """Per depth, the source suffix's count of each shared key; each
+        target node's slot; the target nodes' count of each slot."""
+        slot = {key: x for x, key in enumerate(sorted(set(keys_a) & set(keys_b)))}
+        counts = [0] * len(slot)
+        left = [counts]
+        for key in reversed(keys_a):
+            counts = counts.copy()
+            if key in slot:
+                counts[slot[key]] += 1
+            left.append(counts)
+        left.reverse()
+        slot_b = [slot.get(key, len(slot)) for key in keys_b]
+        free = [0] * (len(slot) + 1)
+        for x in slot_b:
+            free[x] += 1
+        return left, slot_b, free
+
     def run(self) -> GedResult:
+        if time.monotonic() > self.deadline:
+            raise GedTimeoutError(
+                "deadline passed before any complete edit path was found"
+            )
+        self._seed()
         try:
             self._dfs(0, 0.0)
             complete = True
         except _DeadlineHit:
             complete = False
-        if self.best_assign is None:
-            raise GedTimeoutError(
-                "deadline passed before any complete edit path was found"
-            )
+        assert self.best_assign is not None
         mapping = self._mapping_ids(self.best_assign)
         return GedResult(self.best, complete, mapping)
+
+    def _seed(self) -> None:
+        """Walk the class-greedy node pairing down to its leaf as the search
+        would, so ``best`` starts at the cost the search charges for it."""
+        image = dict(_assign_nodes(self.a, self.b, self.cm)[1])
+        cost = 0.0
+        for i in range(self.n):
+            k = image.get(i, _DELETED)
+            if k == _DELETED:
+                cost += self.cm.node_delete + self.cm.edge_delete * len(self.settle_a[i])
+                continue
+            cost += self._substitute_delta(i, k)
+            self.assign[i] = k
+            self.used[k] = True
+            self.preimage[k] = i
+        matched_b = image.values()
+        settled_b = sum(len(self.edges_b[k][l]) for k in matched_b for l in matched_b)
+        self.matched = len(image)
+        self.rest_b_total -= settled_b
+        self._leaf(cost)
+        for i, k in image.items():
+            self.assign[i] = _DELETED
+            self.used[k] = False
+        self.matched = 0
+        self.rest_b_total += settled_b
 
     def _mapping_ids(
         self, assign: list[int]
@@ -278,52 +333,53 @@ class _MappingSearch:
 
     # -- admissible lower bound -------------------------------------------
 
-    def _bound(self, depth: int) -> float:
-        used = self.used
-        if self.matched < self.m:
-            bound_a = 0.0
-            for r in range(depth, self.n):
-                for k in self.row_order[r]:
-                    if not used[k]:
-                        bound_a += self.sub[r][k]
-                        break
-                else:
-                    bound_a += self.cm.node_delete
-            bound_b = 0.0
-            for floor, taken in zip(self.col_floor[depth], used):
-                if not taken:
-                    bound_b += floor
-        else:
-            bound_a = (self.n - depth) * self.cm.node_delete
-            bound_b = 0.0
-        node_bound = bound_a if bound_a > bound_b else bound_b
+    def _node_bound(self, depth: int) -> float:
+        """``_assign``'s cost over the undecided source nodes and the unused target nodes."""
+        n_left = self.n - depth
+        m_free = self.m - self.matched
+        full = sum(map(min, self.left_class[depth], self.free_class))
+        typed = sum(map(min, self.left_type[depth], self.free_type))
+        paired = min(n_left, m_free)
+        return (
+            n_left * self.cm.node_delete
+            + m_free * self.cm.node_insert
+            + full * self.gain_full
+            + (typed - full) * self.gain_typed
+            + (paired - typed) * self.gain_any
+        )
 
+    def _bound(self, depth: int) -> float:
         overlap = 0
         for x, y in zip(self.rest_a, self.rest_b):
             overlap += x if x < y else y
         uncharged = max(self.rest_a_total, self.rest_b_total)
-        return node_bound + self.min_edge_op * (uncharged - overlap)
+        return self._node_bound(depth) + self.min_edge_op * (uncharged - overlap)
 
     # -- search --------------------------------------------------------------
+
+    def _leaf(self, cost: float) -> None:
+        """Insert the unused target nodes and their edges; keep the total if best."""
+        total = (
+            cost
+            + self.cm.node_insert * (self.m - self.matched)
+            + self.cm.edge_insert * self.rest_b_total
+        )
+        if total < self.best:
+            self.best = total
+            self.best_assign = list(self.assign)
 
     def _dfs(self, depth: int, cost: float) -> None:
         if time.monotonic() > self.deadline:
             raise _DeadlineHit
         if depth == self.n:
-            total = (
-                cost
-                + self.cm.node_insert * (self.m - self.matched)
-                + self.cm.edge_insert * self.rest_b_total
-            )
-            if total < self.best:
-                self.best = total
-                self.best_assign = list(self.assign)
+            self._leaf(cost)
             return
         if cost + self._bound(depth) >= self.best:
             return
 
         i = depth
         rest_a, rest_b, used = self.rest_a, self.rest_b, self.used
+        free_class, free_type = self.free_class, self.free_type
         settled_a = self.settle_a[i]
         for x in settled_a:
             rest_a[x] -= 1
@@ -336,6 +392,8 @@ class _MappingSearch:
                 continue
             self.assign[i] = k
             used[k] = True
+            free_class[self.class_b[k]] -= 1
+            free_type[self.type_b[k]] -= 1
             self.preimage[k] = i
             self.matched += 1
             settled_b = self.edges_b[k][k] + tuple(
@@ -349,6 +407,8 @@ class _MappingSearch:
                 rest_b[x] += 1
             self.rest_b_total += len(settled_b)
             self.matched -= 1
+            free_class[self.class_b[k]] += 1
+            free_type[self.type_b[k]] += 1
             used[k] = False
             self.assign[i] = _DELETED
         new_cost = cost + (self.cm.node_delete + self.cm.edge_delete * len(settled_a))
@@ -383,8 +443,9 @@ def ged_astar(
 
     When the search finishes, the cost is the exact minimum under the model;
     when the deadline fires first, the best complete edit path found so far
-    is returned with ``complete=False``. Raises ``GedTimeoutError`` only if
-    no complete path exists by the deadline. A NaN ``timeout`` raises
+    is returned with ``complete=False``. The search holds a complete path
+    from its start, so ``GedTimeoutError`` is raised only if the deadline
+    passes before the search starts. A NaN ``timeout`` raises
     ``ValueError``, since no deadline would ever pass, and so does a model
     whose ``edge_relabel`` is below ``min(edge_delete, edge_insert)``.
     """
@@ -421,8 +482,12 @@ def dist_ged_astar(
 ) -> float:
     """Edit cost normalized by the maximum-cost denominator, in [0, 1].
 
-    A timeout without any complete edit path yields the pessimistic 1.0; a
-    NaN ``timeout`` raises ``ValueError``, as in ``ged_astar``.
+    A search stopped at the deadline gives the cost of the best edit path it
+    found, counted as a ``fallbacks.STOPPED`` fallback. ``ged_astar`` raises
+    ``GedTimeoutError`` only if the deadline passes before the search
+    starts; that yields the pessimistic 1.0, counted as
+    ``fallbacks.TIMED_OUT``. A NaN ``timeout`` raises ``ValueError``, as in
+    ``ged_astar``.
     """
     cm = cost_model or default_cost_model()
     a.require_non_empty()
@@ -438,6 +503,14 @@ def dist_ged_astar(
         )
         fallbacks.note(fallbacks.TIMED_OUT)
         return 1.0
+    if not result.complete:
+        logger.debug(
+            "search for %r vs %r stopped at its %.3fs deadline; best edit path found used",
+            a.name,
+            b.name,
+            timeout,
+        )
+        fallbacks.note(fallbacks.STOPPED)
     value = result.cost / normalization_denominator(a, b, cm)
     return _clamp_unit(value, "normalized edit distance")
 

@@ -559,8 +559,9 @@ def reference_tokenize(text: str) -> list[_Token]:
 
 # The branch-and-bound search as it was before its internals were integer-coded,
 # kept verbatim (bar the class name and its edge matcher's name) as the oracle
-# of a differential test: the rewrite must return the same result through the
-# same number of expansions.
+# of a differential test: the search must reach the same cost through no more
+# expansions, since its bound is never below this one's and it starts from a
+# complete mapping's cost.
 
 
 def _label_multiset(graph: AUG) -> Counter[str]:

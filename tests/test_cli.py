@@ -1,4 +1,5 @@
 import csv
+import random
 import shutil
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import augdist.cli as cli
 from augdist import exas, ged, mcs, node_similarity
-from augdist import load_corpus, load_rules, parse_aug, parse_rule
+from augdist import AUG, Edge, Node, load_corpus, load_rules, parse_aug, parse_rule, serialize_aug
 from augdist.cli import ALGORITHMS, EXIT_INCOMPUTABLE, EXIT_PARSE, RunConfig, build_distance, main
 from augdist.ged import default_cost_model, normalization_denominator
 from oracles import brute_force_ged, brute_force_node_ged, oracle_exas_l1
@@ -27,6 +28,45 @@ def _write(tmp_path: Path, name: str, text: str) -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _one_class_graph(rng: random.Random, name: str) -> AUG:
+    """16 nodes of one class joined by 16 random ``recv`` edges.
+
+    An exact search between two such graphs runs for seconds, so a short
+    deadline stops it; and no mapping of equally many nodes costs more than
+    the normalization denominator, so no value is clamped.
+    """
+    nodes = tuple(Node(f"n{i}", "A.m()", "action", "p.A") for i in range(16))
+    edges = tuple(
+        Edge(f"n{rng.randrange(16)}", f"n{rng.randrange(16)}", "recv") for _ in range(16)
+    )
+    return AUG(name, nodes, edges)
+
+
+def _stopping_corpus(tmp_path: Path) -> Path:
+    """Two rules and one entry per label, all one-class graphs: each of the
+    eight (rule side, entry) searches stops at a 0.2 s deadline."""
+    rng = random.Random(1)
+    corpus = tmp_path / "stopping"
+    (corpus / "rules").mkdir(parents=True)
+    for name in ("rule_a", "rule_b"):
+        lines = [f'digraph "{name}" {{']
+        for part in ("misuse", "fix"):
+            graph = _one_class_graph(rng, part)
+            lines += [
+                f'  {part}_{node.id} [label="A.m()", type="action", api="p.A", part="{part}"];'
+                for node in graph.nodes
+            ]
+            lines += [
+                f'  {part}_{edge.source} -> {part}_{edge.target} [label="recv"];'
+                for edge in graph.edges
+            ]
+        _write(corpus / "rules", f"{name}.dot", "\n".join([*lines, "}"]) + "\n")
+    for name in ("c1", "m1"):
+        _write(corpus, f"{name}.dot", serialize_aug(_one_class_graph(rng, name)))
+    _write(corpus, "labels.csv", "name,label\nc1,correct\nm1,misuse\n")
+    return corpus
 
 
 class TestRunConfig:
@@ -174,6 +214,16 @@ class TestCmdDist:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["no complete edit path within the timeout; distance set to 1.0"]
 
+    def test_stopped_search_warns_once(self, tmp_path, capsys, caplog):
+        rng = random.Random(1)
+        a = _write(tmp_path, "a.dot", serialize_aug(_one_class_graph(rng, "a")))
+        b = _write(tmp_path, "b.dot", serialize_aug(_one_class_graph(rng, "b")))
+        assert main(["dist", str(a), str(b), "-a", "astar-ged", "--timeout", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert 0.0 < float(out) <= 1.0 and out == f"{float(out):.6f}\n"
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["exact search stopped at the deadline; best edit path found used"]
+
 
 
 class TestHelp:
@@ -288,6 +338,25 @@ class TestCmdEvaluate:
         self._run(tmp_path, algorithm, extra=(*option, "--workers", workers))
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == [summary]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stopped_searches_summarized_in_one_warning(self, tmp_path, capsys, caplog, workers):
+        corpus = _stopping_corpus(tmp_path)
+        out = self._run(
+            tmp_path, "astar-ged", corpus=corpus, extra=("--timeout", "0.2", "--workers", workers)
+        )
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["8 exact searches stopped at the deadline; best edit path found used"]
+        # the reports and stdout keep their usual form
+        for name in ("applicability.csv", "detection.csv", "timing.csv"):
+            header = _read_rows(GOLDEN / "astar-ged" / name)[0]
+            assert _read_rows(out / name)[0] == header
+        assert [row[:2] for row in _read_rows(out / "timing.csv")[1:]] == [
+            ["astar-ged", "rule_a"],
+            ["astar-ged", "rule_b"],
+        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["timing astar-ged", "applicable"]
 
     def test_empty_rules_dir(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -25,6 +25,7 @@ from augdist import (
     hungarian_assignment,
 )
 from augdist.ged import (
+    _assign,
     _assign_edges,
     _MappingSearch,
     _pair_edge_cost,
@@ -61,6 +62,17 @@ def _parallel_edges(name: str, labels) -> AUG:
     )
 
 
+def _node_pairing_as_mapping(a, b, cm):
+    """The node-only assignment's pairs, the other nodes deleted or inserted."""
+    pairs = hungarian_assignment(a, b, cm)[1]
+    image = dict(pairs)
+    paired_b = set(image.values())
+    return (
+        *((u.id, image.get(u.id)) for u in a.nodes_in_id_order),
+        *((None, v.id) for v in b.nodes_in_id_order if v.id not in paired_b),
+    )
+
+
 class TestAstarExamples:
     def test_identical_graphs_cost_zero(self):
         for g in (ONE_ACTION, GROWN):
@@ -87,6 +99,17 @@ class TestAstarExamples:
         g2 = random_aug(random.Random(8), "g2", max_nodes=30, min_nodes=30, max_edges=60)
         with pytest.raises(GedTimeoutError):
             ged_astar(g1, g2, timeout=0.0)
+
+    def test_deadline_mid_search_keeps_the_best_path_found(self):
+        g1 = random_aug(random.Random(7), "g1", max_nodes=30, min_nodes=30, max_edges=60)
+        g2 = random_aug(random.Random(8), "g2", max_nodes=30, min_nodes=30, max_edges=60)
+        cm = default_cost_model()
+        seed_mapping = _node_pairing_as_mapping(g1, g2, cm)
+        seed_cost = edit_path(g1, g2, GedResult(0.0, False, seed_mapping), cm).total_cost
+        result = ged_astar(g1, g2, cm, timeout=0.5)
+        assert not result.complete
+        assert result.cost <= seed_cost
+        _assert_valid_mapping(g1, g2, result, cm)
 
     def test_parallel_edges_respect_the_deadline(self):
         # matching 8 distinct labels against 8 others must not outlast the deadline
@@ -161,20 +184,36 @@ def _counted_search(search_class, a, b, cm):
     return search.run(), search.expansions
 
 
+def _assert_valid_mapping(a, b, result, cm):
+    """Each node of either graph appears once, and the edit path costs what the result says."""
+    sources = sorted(source for source, _ in result.mapping if source is not None)
+    targets = sorted(target for _, target in result.mapping if target is not None)
+    assert sources == sorted(node.id for node in a.nodes)
+    assert targets == sorted(node.id for node in b.nodes)
+    assert edit_path(a, b, result, cm).total_cost == result.cost
+
+
 class TestSearchMatchesReference:
-    """The integer-coded search walks the same tree as the Counter-based one."""
+    """The search finds the Counter-based search's cost through no more expansions.
+
+    Its node bound is never below the reference's, and it starts from a
+    complete mapping's cost instead of infinity, so it prunes wherever the
+    reference does. Both models are integer-valued, so the sums compare
+    exactly. On a tie the search may keep a different optimal mapping.
+    """
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_same_result_and_expansions(self, seed):
+    def test_same_cost_in_at_most_the_expansions(self, seed):
         rng = random.Random(seed)
         a = random_aug(rng, "a", max_nodes=6, max_edges=8)
         b = random_aug(rng, "b", max_nodes=6, max_edges=8)
         for cm in (default_cost_model(), mcs_cost_model()):
             expected, expected_expansions = _counted_search(ReferenceMappingSearch, a, b, cm)
             result, expansions = _counted_search(_MappingSearch, a, b, cm)
-            assert result == expected
-            assert expansions == expected_expansions
+            assert (result.cost, result.complete) == (expected.cost, expected.complete)
+            _assert_valid_mapping(a, b, result, cm)
+            assert expansions <= expected_expansions
 
 
 class TestHungarian:
@@ -363,6 +402,46 @@ class TestEdgeMatchingMatchesReference:
                 + (len(labels_b) - len(pairs)) * cm.edge_insert
             )
             assert recomputed == (cost if exact else pytest.approx(cost, abs=1e-9))
+
+
+class _BoundChecked(_MappingSearch):
+    """A search that checks its node bound against ``_assign`` at every call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checked = []
+
+    def _node_bound(self, depth):
+        bound = super()._node_bound(depth)
+        keys_a = [(u.node_type, u.label) for u in self.a_nodes[depth:]]
+        keys_b = [(v.node_type, v.label) for k, v in enumerate(self.b_nodes) if not self.used[k]]
+        costs = (self.cm.node_retype, self.cm.node_relabel, 0.0)
+        expected = _assign(keys_a, keys_b, costs, self.cm.node_delete, self.cm.node_insert)[0]
+        self.checked.append((bound, expected))
+        return bound
+
+
+class TestNodeBoundIsTheAssignment:
+    """The node part of the search's bound is the exact class assignment of
+    the undecided source nodes against the unused target nodes."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        drawn=_class_cost_models().filter(
+            lambda cm: cm.edge_relabel >= min(cm.edge_delete, cm.edge_insert)
+        ),
+    )
+    def test_equals_assign_at_every_call(self, seed, drawn):
+        rng = random.Random(seed)
+        a = random_aug(rng, "a", max_nodes=6, max_edges=8)
+        b = random_aug(rng, "b", max_nodes=6, max_edges=8)
+        for cm, tolerance in ((default_cost_model(), 0.0), (mcs_cost_model(), 0.0), (drawn, 1e-9)):
+            search = _BoundChecked(a, b, cm, time.monotonic() + 60.0)
+            search.run()
+            assert search.checked
+            for bound, expected in search.checked:
+                assert abs(bound - expected) <= tolerance
 
 
 class TestPreparedNodeOrder:
