@@ -24,7 +24,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import fallbacks
 from .errors import GedTimeoutError
@@ -128,6 +128,93 @@ class _DeadlineHit(Exception):
     pass
 
 
+class SearchTables(NamedTuple):
+    """One graph's tables for the exact search, in either role.
+
+    Nodes are numbered as in ``AUG.nodes_in_id_order``. The tables are
+    read-only, since the graph is shared; ``AUG.search_tables`` builds them
+    once per graph.
+    """
+
+    keys: tuple[tuple[str, str], ...]  # (node_type, label) of each node
+    types: tuple[str, ...]
+    key_counts: dict[tuple[str, str], int]
+    type_counts: dict[str, int]
+    label_counts: dict[str, int]  # of the edges
+    # edges[i][j]: the sorted labels of the edges from node i to node j
+    edges: tuple[tuple[tuple[str, ...], ...], ...]
+    # As the source graph, node i is decided at depth i, which settles its
+    # loops and its edges with its earlier neighbours.
+    earlier: tuple[tuple[int, ...], ...]
+    earlier_set: tuple[frozenset[int], ...]
+    settle: tuple[tuple[str, ...], ...]
+    # As the target graph: each node's other neighbours, and the labels of
+    # its edges with each of them.
+    nbr: tuple[tuple[int, ...], ...]
+    links: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]
+
+
+def search_tables(graph: AUG) -> SearchTables:
+    """Build ``graph``'s search tables; ``graph.search_tables`` caches them."""
+    nodes = graph.nodes_in_id_order
+    size = len(nodes)
+    index = {node.id: i for i, node in enumerate(nodes)}
+    rows: list[list[tuple[str, ...]]] = [[()] * size for _ in nodes]
+    for (source, target), counts in graph.edge_label_counts.items():
+        rows[index[source]][index[target]] = tuple(sorted(counts.elements()))
+    edges = tuple(map(tuple, rows))
+    keys = tuple((node.node_type, node.label) for node in nodes)
+    types = tuple(node_type for node_type, _ in keys)
+    earlier = tuple(
+        tuple(j for j in range(i) if edges[i][j] or edges[j][i]) for i in range(size)
+    )
+    nbr = tuple(
+        tuple(l for l in range(size) if l != k and (edges[k][l] or edges[l][k]))
+        for k in range(size)
+    )
+    return SearchTables(
+        keys=keys,
+        types=types,
+        key_counts=Counter(keys),
+        type_counts=Counter(types),
+        label_counts=Counter(edge.label for edge in graph.edges),
+        edges=edges,
+        earlier=earlier,
+        earlier_set=tuple(map(frozenset, earlier)),
+        settle=tuple(
+            edges[i][i] + tuple(x for j in before for x in edges[i][j] + edges[j][i])
+            for i, before in enumerate(earlier)
+        ),
+        nbr=nbr,
+        links=tuple(
+            tuple((l, edges[k][l] + edges[l][k]) for l in others)
+            for k, others in enumerate(nbr)
+        ),
+    )
+
+
+def _surplus(counts_a: dict, counts_b: dict) -> tuple[dict, int]:
+    """``counts_a[key] - counts_b[key]`` over the union of keys, and the
+    overlap ``Σ min(counts_a[key], counts_b[key])``."""
+    surplus = dict.fromkeys(counts_b, 0)
+    surplus.update(counts_a)
+    overlap = 0
+    for key, count in counts_b.items():
+        overlap += min(surplus[key], count)
+        surplus[key] -= count
+    return surplus, overlap
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_costs(cm: CostModel) -> Callable[[tuple[str, ...], tuple[str, ...]], float]:
+    """``_pair_edge_cost`` under one model, memoized across searches.
+
+    Both caches are bounded, so a long-lived process that meets ever new
+    models or label tuples keeps at most ``4 * 2**14`` costs.
+    """
+    return functools.lru_cache(maxsize=1 << 14)(functools.partial(_pair_edge_cost, cm))
+
+
 class _MappingSearch:
     """Depth-first branch-and-bound over node mappings.
 
@@ -137,12 +224,13 @@ class _MappingSearch:
     when the second endpoint of an edge is decided, so the accumulated cost
     of a partial mapping covers exactly the edges whose fate is fixed.
 
-    An expansion does only int and list work. Edge labels of both graphs are
-    interned as ids in sorted label order, and each ordered node pair's edges
-    are a sorted tuple of ids, on which a pair's edit cost is memoized. Node
-    ``i`` of ``a`` is always decided at depth ``i``, so the ``a`` edges that
-    deciding it settles (those to earlier nodes, and its loops) are fixed up
-    front; only ``b``'s settled edges depend on the mapping.
+    The per-graph tables come from ``AUG.search_tables``, built once per
+    graph and run: each ordered node pair's edges are a sorted tuple of
+    label strings, on which a pair's edit cost is memoized per cost model.
+    Node ``i`` of ``a`` is always decided at depth ``i``, so the ``a`` edges
+    that deciding it settles (those with earlier nodes, and its loops) are
+    fixed up front; only ``b``'s settled edges depend on the mapping. A
+    search builds only its substitution matrix and three surplus dicts.
 
     The remaining cost is bounded from below by (a) the exact cost of
     ``_assign`` over the undecided source nodes against the unused target
@@ -152,20 +240,22 @@ class _MappingSearch:
     remaining ``max(r_a, r_b) - overlap`` costs at least ``min(edge_delete,
     edge_insert)``. The assignment has a closed form over class counts: with
     ``full``, ``typed`` and ``any`` the most pairs that can share a (type,
-    label) class, a type, or nothing, it pairs that many at each gain. The
-    undecided source nodes are always the suffix ``depth:``, so their counts
-    are tables built once per depth; the unused target nodes' counts change
-    where ``used`` does. Both bounds underestimate, so a search that runs to
-    completion is exact.
+    label) class, a type, or nothing, it pairs that many at each gain.
+    ``full``, ``typed`` and ``overlap`` are each a ``Σ min(x, y)`` of a
+    source-side count ``x`` and a target-side count ``y`` per key. One
+    ``min(x, y)`` drops by one when ``x`` drops while ``x <= y``, or ``y``
+    drops while ``y <= x``, so each sum is kept as an int updated from the
+    surplus ``x - y`` where a count changes, and restored on backtrack. Both
+    bounds underestimate, so a search that runs to completion is exact.
 
     Pruning starts at the root: before the first expansion, ``best`` holds
-    the cost the search itself charges for the mapping of ``_assign_nodes``
-    (unpaired nodes deleted or inserted), summed in the order the search
-    would sum it. A leaf replaces it only if strictly cheaper.
+    the cost the search itself charges for the mapping of ``_assign`` over
+    the node classes (unpaired nodes deleted or inserted), summed in the
+    order the search would sum it. A leaf replaces it only if strictly
+    cheaper.
     """
 
     def __init__(self, a: AUG, b: AUG, cm: CostModel, deadline: float) -> None:
-        self.a, self.b = a, b
         self.cm = cm
         self.deadline = deadline
         self.a_nodes = a.nodes_in_id_order
@@ -173,44 +263,29 @@ class _MappingSearch:
         self.n = len(self.a_nodes)
         self.m = len(self.b_nodes)
 
-        labels = sorted({edge.label for edge in (*a.edges, *b.edges)})
-        label_id = {label: x for x, label in enumerate(labels)}
-        self.pair_cost = functools.cache(functools.partial(_pair_edge_cost, cm, labels))
-        ea = self.edges_a = self._edge_table(a, self.a_nodes, label_id)
-        eb = self.edges_b = self._edge_table(b, self.b_nodes, label_id)
-        self.earlier_a = [
-            [j for j in range(i) if ea[i][j] or ea[j][i]] for i in range(self.n)
-        ]
-        self.settle_a = [
-            ea[i][i] + tuple(x for j in earlier for x in ea[i][j] + ea[j][i])
-            for i, earlier in enumerate(self.earlier_a)
-        ]
-        self.nbr_b = [
-            [l for l in range(self.m) if l != k and (eb[k][l] or eb[l][k])]
-            for k in range(self.m)
-        ]
-        self.links_b = [
-            [(l, eb[k][l] + eb[l][k]) for l in nbr] for k, nbr in enumerate(self.nbr_b)
-        ]
+        ta, tb = a.search_tables, b.search_tables
+        self.pair_cost = _pair_costs(cm)
+        self.edges_a, self.edges_b = ta.edges, tb.edges
+        self.earlier_a, self.earlier_set_a, self.settle_a = ta.earlier, ta.earlier_set, ta.settle
+        self.nbr_b, self.links_b = tb.nbr, tb.links
+        self.key_a, self.type_a = ta.keys, ta.types
+        self.key_b, self.type_b = tb.keys, tb.types
 
-        self.sub = [[cm.node_substitute(u, v) for v in self.b_nodes] for u in self.a_nodes]
+        # ``cm.node_substitute`` of each node pair, from their class keys
+        relabel, retype = cm.node_relabel, cm.node_retype
+        self.sub = [
+            [0.0 if u == v else relabel if u[0] == v[0] else retype for v in tb.keys]
+            for u in ta.keys
+        ]
         self.gain_full, self.gain_typed, self.gain_any = (
             min(cost - cm.node_delete - cm.node_insert, 0.0)
-            for cost in (0.0, cm.node_relabel, cm.node_retype)
+            for cost in (0.0, relabel, retype)
         )
-        # Counts of the classes and types both graphs have; a target node of
-        # any other class or type counts in a last slot no source count meets.
-        keys_a = [(u.node_type, u.label) for u in self.a_nodes]
-        keys_b = [(v.node_type, v.label) for v in self.b_nodes]
-        self.left_class, self.class_b, self.free_class = self._class_counts(keys_a, keys_b)
-        self.left_type, self.type_b, self.free_type = self._class_counts(
-            [key[0] for key in keys_a], [key[0] for key in keys_b]
-        )
-
-        ids_a = [label_id[edge.label] for edge in a.edges]
-        ids_b = [label_id[edge.label] for edge in b.edges]
-        self.rest_a = [ids_a.count(x) for x in range(len(labels))]
-        self.rest_b = [ids_b.count(x) for x in range(len(labels))]
+        # The source counts are of the undecided nodes and the uncharged
+        # edges, the target counts of the unused nodes and uncharged edges.
+        self.class_surplus, self.full = _surplus(ta.key_counts, tb.key_counts)
+        self.type_surplus, self.typed = _surplus(ta.type_counts, tb.type_counts)
+        self.label_surplus, self.overlap = _surplus(ta.label_counts, tb.label_counts)
         self.rest_a_total = a.edge_count
         self.rest_b_total = b.edge_count
         self.min_edge_op = min(cm.edge_delete, cm.edge_insert)
@@ -221,40 +296,6 @@ class _MappingSearch:
         self.matched = 0
         self.best = float("inf")
         self.best_assign: list[int] | None = None
-
-    @staticmethod
-    def _edge_table(
-        graph: AUG, nodes: tuple[Node, ...], label_id: dict[str, int]
-    ) -> list[list[tuple[int, ...]]]:
-        """Sorted label ids of the edges of each ordered node pair."""
-        index = {node.id: i for i, node in enumerate(nodes)}
-        table: list[list[tuple[int, ...]]] = [[()] * len(nodes) for _ in nodes]
-        for (source, target), counts in graph.edge_label_counts.items():
-            table[index[source]][index[target]] = tuple(
-                sorted(label_id[label] for label in counts.elements())
-            )
-        return table
-
-    @staticmethod
-    def _class_counts(
-        keys_a: list, keys_b: list
-    ) -> tuple[list[list[int]], list[int], list[int]]:
-        """Per depth, the source suffix's count of each shared key; each
-        target node's slot; the target nodes' count of each slot."""
-        slot = {key: x for x, key in enumerate(sorted(set(keys_a) & set(keys_b)))}
-        counts = [0] * len(slot)
-        left = [counts]
-        for key in reversed(keys_a):
-            counts = counts.copy()
-            if key in slot:
-                counts[slot[key]] += 1
-            left.append(counts)
-        left.reverse()
-        slot_b = [slot.get(key, len(slot)) for key in keys_b]
-        free = [0] * (len(slot) + 1)
-        for x in slot_b:
-            free[x] += 1
-        return left, slot_b, free
 
     def run(self) -> GedResult:
         if time.monotonic() > self.deadline:
@@ -274,12 +315,14 @@ class _MappingSearch:
     def _seed(self) -> None:
         """Walk the class-greedy node pairing down to its leaf as the search
         would, so ``best`` starts at the cost the search charges for it."""
-        image = dict(_assign_nodes(self.a, self.b, self.cm)[1])
+        cm = self.cm
+        costs = (cm.node_retype, cm.node_relabel, 0.0)
+        image = dict(_assign(self.key_a, self.key_b, costs, cm.node_delete, cm.node_insert)[1])
         cost = 0.0
         for i in range(self.n):
             k = image.get(i, _DELETED)
             if k == _DELETED:
-                cost += self.cm.node_delete + self.cm.edge_delete * len(self.settle_a[i])
+                cost += cm.node_delete + cm.edge_delete * len(self.settle_a[i])
                 continue
             cost += self._substitute_delta(i, k)
             self.assign[i] = k
@@ -315,19 +358,21 @@ class _MappingSearch:
     # -- cost pieces ------------------------------------------------------
 
     def _substitute_delta(self, i: int, k: int) -> float:
+        ea, eb, pair_cost, assign = self.edges_a, self.edges_b, self.pair_cost, self.assign
         delta = self.sub[i][k]
-        relevant = set(self.earlier_a[i])
-        for l in self.nbr_b[k]:
-            if self.used[l]:
-                relevant.add(self.preimage[l])
-        ea, eb, pair_cost = self.edges_a, self.edges_b, self.pair_cost
-        for j in relevant:
-            l = self.assign[j]
+        for j in self.earlier_a[i]:
+            l = assign[j]
             if l == _DELETED:
                 delta += self.cm.edge_delete * (len(ea[i][j]) + len(ea[j][i]))
             else:
                 delta += pair_cost(ea[i][j], eb[k][l])
                 delta += pair_cost(ea[j][i], eb[l][k])
+        # The other used neighbours' preimages share no edge with i.
+        adjacent, used, preimage = self.earlier_set_a[i], self.used, self.preimage
+        for l in self.nbr_b[k]:
+            if used[l] and preimage[l] not in adjacent:
+                delta += pair_cost((), eb[k][l])
+                delta += pair_cost((), eb[l][k])
         delta += pair_cost(ea[i][i], eb[k][k])
         return delta
 
@@ -337,23 +382,18 @@ class _MappingSearch:
         """``_assign``'s cost over the undecided source nodes and the unused target nodes."""
         n_left = self.n - depth
         m_free = self.m - self.matched
-        full = sum(map(min, self.left_class[depth], self.free_class))
-        typed = sum(map(min, self.left_type[depth], self.free_type))
         paired = min(n_left, m_free)
         return (
             n_left * self.cm.node_delete
             + m_free * self.cm.node_insert
-            + full * self.gain_full
-            + (typed - full) * self.gain_typed
-            + (paired - typed) * self.gain_any
+            + self.full * self.gain_full
+            + (self.typed - self.full) * self.gain_typed
+            + (paired - self.typed) * self.gain_any
         )
 
     def _bound(self, depth: int) -> float:
-        overlap = 0
-        for x, y in zip(self.rest_a, self.rest_b):
-            overlap += x if x < y else y
         uncharged = max(self.rest_a_total, self.rest_b_total)
-        return self._node_bound(depth) + self.min_edge_op * (uncharged - overlap)
+        return self._node_bound(depth) + self.min_edge_op * (uncharged - self.overlap)
 
     # -- search --------------------------------------------------------------
 
@@ -377,60 +417,98 @@ class _MappingSearch:
         if cost + self._bound(depth) >= self.best:
             return
 
+        # Node i leaves the undecided source nodes, its settled edges the
+        # uncharged ones: a source count drops.
         i = depth
-        rest_a, rest_b, used = self.rest_a, self.rest_b, self.used
-        free_class, free_type = self.free_class, self.free_type
-        settled_a = self.settle_a[i]
+        used, classes, types, labels = (
+            self.used, self.class_surplus, self.type_surplus, self.label_surplus
+        )
+        key, kind, settled_a = self.key_a[i], self.type_a[i], self.settle_a[i]
+        classes[key] -= 1
+        if classes[key] < 0:
+            self.full -= 1
+        types[kind] -= 1
+        if types[kind] < 0:
+            self.typed -= 1
         for x in settled_a:
-            rest_a[x] -= 1
+            labels[x] -= 1
+            if labels[x] < 0:
+                self.overlap -= 1
         self.rest_a_total -= len(settled_a)
+
         for k in range(self.m):
             if used[k]:
                 continue
             new_cost = cost + self._substitute_delta(i, k)
             if new_cost >= self.best:
                 continue
+            # Node k leaves the unused target nodes, its settled edges the
+            # uncharged ones: a target count drops.
             self.assign[i] = k
             used[k] = True
-            free_class[self.class_b[k]] -= 1
-            free_type[self.type_b[k]] -= 1
             self.preimage[k] = i
             self.matched += 1
-            settled_b = self.edges_b[k][k] + tuple(
-                x for l, labels in self.links_b[k] if used[l] for x in labels
-            )
+            key_b, kind_b = self.key_b[k], self.type_b[k]
+            classes[key_b] += 1
+            if classes[key_b] > 0:
+                self.full -= 1
+            types[kind_b] += 1
+            if types[kind_b] > 0:
+                self.typed -= 1
+            settled_b = self.edges_b[k][k]
+            for l, pair in self.links_b[k]:
+                if used[l]:
+                    settled_b += pair
             for x in settled_b:
-                rest_b[x] -= 1
+                labels[x] += 1
+                if labels[x] > 0:
+                    self.overlap -= 1
             self.rest_b_total -= len(settled_b)
+
             self._dfs(depth + 1, new_cost)
-            for x in settled_b:
-                rest_b[x] += 1
+
             self.rest_b_total += len(settled_b)
+            for x in settled_b:
+                if labels[x] > 0:
+                    self.overlap += 1
+                labels[x] -= 1
+            if types[kind_b] > 0:
+                self.typed += 1
+            types[kind_b] -= 1
+            if classes[key_b] > 0:
+                self.full += 1
+            classes[key_b] -= 1
             self.matched -= 1
-            free_class[self.class_b[k]] += 1
-            free_type[self.type_b[k]] += 1
             used[k] = False
             self.assign[i] = _DELETED
+
         new_cost = cost + (self.cm.node_delete + self.cm.edge_delete * len(settled_a))
         if new_cost < self.best:
             self.assign[i] = _DELETED
             self._dfs(depth + 1, new_cost)
-        for x in settled_a:
-            rest_a[x] += 1
+
         self.rest_a_total += len(settled_a)
+        for x in settled_a:
+            if labels[x] < 0:
+                self.overlap += 1
+            labels[x] += 1
+        if types[kind] < 0:
+            self.typed += 1
+        types[kind] += 1
+        if classes[key] < 0:
+            self.full += 1
+        classes[key] += 1
 
 
-def _pair_edge_cost(
-    cm: CostModel, labels: list[str], ta: tuple[int, ...], tb: tuple[int, ...]
-) -> float:
-    """Cheapest edit of one pair's edges, sorted ids into ``labels``, into another's."""
+def _pair_edge_cost(cm: CostModel, ta: tuple[str, ...], tb: tuple[str, ...]) -> float:
+    """Cheapest edit of one pair's edges, sorted label tuples, into another's."""
     if not ta:
         return cm.edge_insert * len(tb)
     if not tb:
         return cm.edge_delete * len(ta)
     if ta == tb:
         return 0.0
-    return _assign_edges([labels[x] for x in ta], [labels[x] for x in tb], cm)[0]
+    return _assign_edges(ta, tb, cm)[0]
 
 
 def ged_astar(

@@ -13,10 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptyGraphError, SchemaError
+
+if TYPE_CHECKING:
+    from . import ged
 
 EMPTY_TYPE = "empty"
 UNKNOWN_API = "UNKNOWN"
@@ -137,6 +141,14 @@ class AUG:
         from . import exas  # exas imports this module
 
         return dict(exas.extract_features(self))
+
+    @cached_property
+    def search_tables(self) -> ged.SearchTables:
+        """The exact search's tables for this graph, in either role, built
+        once per graph. Read-only, since the graph is shared."""
+        from . import ged  # ged imports this module
+
+        return ged.search_tables(self)
 
     @cached_property
     def api_parts(self) -> tuple[tuple[str, AUG], ...]:

@@ -374,9 +374,6 @@ class TestEdgeMatchingMatchesReference:
     def test_same_cost_and_a_valid_matching(self, labels_a, labels_b, drawn):
         labels_a, labels_b = sorted(labels_a), sorted(labels_b)
         a, b = _parallel_edges("a", labels_a), _parallel_edges("b", labels_b)
-        labels = sorted({*labels_a, *labels_b})
-        ids_a = tuple(labels.index(x) for x in labels_a)
-        ids_b = tuple(labels.index(x) for x in labels_b)
         models = (
             ("default", default_cost_model()),
             ("mcs", mcs_cost_model()),
@@ -388,7 +385,7 @@ class TestEdgeMatchingMatchesReference:
             expected, _ = reference_match_with_ops(cm, tuple(labels_a), tuple(labels_b))
             cost, pairs = _assign_edges(labels_a, labels_b, cm)
             assert cost == (expected if exact else pytest.approx(expected, abs=1e-9))
-            assert _pair_edge_cost(cm, labels, ids_a, ids_b) == cost
+            assert _pair_edge_cost(cm, tuple(labels_a), tuple(labels_b)) == cost
 
             sources = [i for i, _ in pairs]
             targets = [k for _, k in pairs]
@@ -442,6 +439,98 @@ class TestNodeBoundIsTheAssignment:
             assert search.checked
             for bound, expected in search.checked:
                 assert abs(bound - expected) <= tolerance
+
+
+class _StateChecked(_MappingSearch):
+    """A search that checks its running counts against a from-scratch count
+    of the undecided and unused nodes and the uncharged edges at every
+    ``_bound`` call."""
+
+    def __init__(self, a, b, cm, deadline):
+        super().__init__(a, b, cm, deadline)
+        self.graphs = a, b
+        self.calls = 0
+
+    def _bound(self, depth):
+        a, b = self.graphs
+        index_a = {node.id: i for i, node in enumerate(self.a_nodes)}
+        index_b = {node.id: k for k, node in enumerate(self.b_nodes)}
+        rest_a = Counter(
+            edge.label for edge in a.edges
+            if max(index_a[edge.source], index_a[edge.target]) >= depth
+        )
+        rest_b = Counter(
+            edge.label for edge in b.edges
+            if not (self.used[index_b[edge.source]] and self.used[index_b[edge.target]])
+        )
+        left = [(u.node_type, u.label) for u in self.a_nodes[depth:]]
+        free = [(v.node_type, v.label) for k, v in enumerate(self.b_nodes) if not self.used[k]]
+        full = sum((Counter(left) & Counter(free)).values())
+        typed = sum((Counter(t for t, _ in left) & Counter(t for t, _ in free)).values())
+        overlap = sum((rest_a & rest_b).values())
+        assert (self.full, self.typed) == (full, typed)
+        assert (self.rest_a_total, self.rest_b_total) == (rest_a.total(), rest_b.total())
+        assert self.overlap == overlap
+        bound = super()._bound(depth)
+        uncharged = max(rest_a.total(), rest_b.total())
+        assert bound == self._node_bound(depth) + self.min_edge_op * (uncharged - overlap)
+        self.calls += 1
+        return bound
+
+    def state(self):
+        return (
+            self.full, self.typed, self.overlap, self.rest_a_total, self.rest_b_total,
+            dict(self.class_surplus), dict(self.type_surplus), dict(self.label_surplus),
+            self.matched, list(self.used), list(self.assign),
+        )
+
+
+class TestIncrementalBoundState:
+    """The bound's running sums equal a from-scratch count at every call,
+    and a finished search leaves them where they started."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_counts_match_and_are_restored(self, seed):
+        rng = random.Random(seed)
+        a = random_aug(rng, "a", max_nodes=6, max_edges=8)
+        b = random_aug(rng, "b", max_nodes=6, max_edges=8)
+        for cm in (default_cost_model(), mcs_cost_model()):
+            search = _StateChecked(a, b, cm, time.monotonic() + 60.0)
+            start = search.state()
+            assert search.run().complete
+            assert search.calls
+            assert search.state() == start
+
+
+class TestPreparedSearchTables:
+    def test_built_once_per_graph(self, monkeypatch):
+        calls = Counter()
+        build = AUG.search_tables.func
+
+        def counted(graph):
+            calls[graph.name] += 1
+            return build(graph)
+
+        monkeypatch.setattr(AUG.search_tables, "func", counted)
+        pairs = random_aug_pairs(seed=113, count=4, max_nodes=4, max_edges=5, min_edges=1)
+        pool = [graph for pair in pairs for graph in pair]
+        for a in pool:
+            for b in pool:
+                ged_astar(a, b, timeout=60.0)
+                dist_ged_astar(a, b, timeout=60.0)
+        assert calls == Counter({graph.name: 1 for graph in pool})
+
+    def test_survives_pickle(self):
+        for a, b in random_aug_pairs(seed=127, count=20, max_nodes=6, max_edges=6):
+            a.search_tables
+            restored = pickle.loads(pickle.dumps(a))
+            assert "search_tables" in vars(restored)
+            assert restored.search_tables == a.search_tables
+            fresh = AUG(a.name, a.nodes, a.edges)
+            for cm in (default_cost_model(), mcs_cost_model()):
+                assert ged_astar(restored, b, cm, 60.0) == ged_astar(fresh, b, cm, 60.0)
+                assert ged_astar(b, restored, cm, 60.0) == ged_astar(b, fresh, cm, 60.0)
 
 
 class TestPreparedNodeOrder:
