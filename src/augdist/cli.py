@@ -20,14 +20,13 @@ from . import exas, fallbacks, ged, mcs, node_similarity
 from .dot import parse_aug
 from .errors import (
     CorpusLayoutError,
-    DegenerateStructureError,
     DotSyntaxError,
     EmptyGraphError,
-    GedTimeoutError,
     InsufficientDataError,
     SchemaError,
 )
 from .evaluation import (
+    INCOMPUTABLE,
     ApplicabilityVerdict,
     Dataset,
     DetectionReport,
@@ -53,22 +52,6 @@ EXIT_PARSE = 2
 EXIT_INCOMPUTABLE = 3
 
 COSINE_MODES = get_args(exas.CosineMode)
-
-# How each fallbacks count is logged: one summary line per `evaluate` run,
-# and one line for a `dist` call, in the order of fallbacks.take().
-_FALLBACK_SUMMARIES = (
-    "%d distance values clamped to 1.0",
-    "%d similarity iterations stopped at max-iter without converging",
-    "%d exact searches found no complete edit path in time; distance set to 1.0",
-    "%d exact searches stopped at the deadline; best edit path found used",
-)
-_FALLBACK_WARNINGS = (
-    "distance value clamped to 1.0",
-    "similarity iteration stopped at max-iter without converging",
-    "no complete edit path within the timeout; distance set to 1.0",
-    "exact search stopped at the deadline; best edit path found used",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -211,12 +194,12 @@ def cmd_dist(file_a: Path, file_b: Path, config: RunConfig) -> int:
     fallbacks.take()  # count this call's fallbacks only
     try:
         value = dist(a, b)
-    except (EmptyGraphError, DegenerateStructureError, GedTimeoutError) as exc:
+    except (EmptyGraphError, *INCOMPUTABLE) as exc:
         print(f"error: distance incomputable: {exc}", file=sys.stderr)
         return EXIT_INCOMPUTABLE
-    for count, message in zip(fallbacks.take(), _FALLBACK_WARNINGS):
+    for count, cause in zip(fallbacks.take(), fallbacks.CAUSES):
         if count:
-            logger.warning(message)
+            logger.warning(cause.warning)
     print(f"{value:.6f}")
     return EXIT_OK
 
@@ -293,9 +276,9 @@ def cmd_evaluate(
         outcomes = [_evaluate_counted(rule, dataset, config) for rule in rules]
     results = [result for result, _ in outcomes]
     totals = [sum(column) for column in zip(*(counts for _, counts in outcomes))]
-    for total, summary in zip(totals, _FALLBACK_SUMMARIES):
+    for total, cause in zip(totals, fallbacks.CAUSES):
         if total:
-            logger.warning(summary, total)
+            logger.warning(cause.summary, total)
 
     verdicts = [verdict for verdict, _, _ in results if verdict is not None]
     reports = [report for _, report, _ in results if report is not None]

@@ -42,7 +42,7 @@ OneToManyFn = Callable[[AUG, Sequence[AUG]], list[float | None]]
 
 # Errors that make a single distance computation incomputable without
 # invalidating the rest of the run.
-_INCOMPUTABLE = (DegenerateStructureError, GedTimeoutError)
+INCOMPUTABLE = (DegenerateStructureError, GedTimeoutError)
 
 LABEL_CORRECT = "correct"
 LABEL_MISUSE = "misuse"
@@ -173,7 +173,7 @@ def distance_table(
             start = time.perf_counter()
             try:
                 value: float | None = dist(reference, entry)
-            except _INCOMPUTABLE as exc:
+            except INCOMPUTABLE as exc:
                 logger.debug(
                     "%s/%s vs %r incomputable: %s", rule.name, side, entry.name, exc
                 )

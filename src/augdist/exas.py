@@ -19,8 +19,6 @@ import math
 from collections import Counter
 from typing import Callable, Literal, get_args
 
-import numpy as np
-
 from .graphs import AUG, Edge
 
 # ("pq", label, node_type, in_degree, out_degree) or
@@ -66,23 +64,6 @@ def extract_features(graph: AUG) -> FeatureVector:
     for node in graph.nodes:
         walk(node.id, {node.id}, (node.label,))
     return counts
-
-
-def sub_super(
-    vec_a: FeatureVector, vec_b: FeatureVector
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared-key restrictions and zero-filled union extensions of two vectors.
-
-    Coordinates follow the canonical sorted order of the feature keys, so
-    positions are comparable across the four returned vectors.
-    """
-    shared = sorted(vec_a.keys() & vec_b.keys())
-    union = sorted(vec_a.keys() | vec_b.keys())
-    sub_a = np.array([vec_a[key] for key in shared], dtype=float)
-    sub_b = np.array([vec_b[key] for key in shared], dtype=float)
-    super_a = np.array([vec_a.get(key, 0) for key in union], dtype=float)
-    super_b = np.array([vec_b.get(key, 0) for key in union], dtype=float)
-    return sub_a, sub_b, super_a, super_b
 
 
 def _check_cosine_options(lam: float, mode: str) -> None:

@@ -4,22 +4,42 @@ A distance that clamps its value to 1.0, stops the similarity iteration at
 its cap, gives up an exact search whose deadline passed before it started,
 or stops an exact search at its deadline and uses the best edit path found,
 logs the pair at DEBUG and adds one to that cause's count here. The CLI
-takes the counts once per unit of work and logs one summary line per
-cause, not one line per pair: for a stopped search, ``N exact searches
-stopped at the deadline; best edit path found used``.
+takes the counts once per unit of work and logs each nonzero count once, in
+its cause's wording from ``CAUSES``: the summary for a run, the warning for
+a single call.
 """
 
 from __future__ import annotations
 
-CLAMPED = 0
-CAPPED = 1
-TIMED_OUT = 2
-STOPPED = 3
+from typing import NamedTuple
 
-# The count of each cause, indexed by the constants above.
-Counts = tuple[int, int, int, int]
 
-_counts = [0, 0, 0, 0]
+class Cause(NamedTuple):
+    summary: str  # one line per run, formatted with the count
+    warning: str  # one line per call
+
+
+CAUSES = (
+    Cause("%d distance values clamped to 1.0", "distance value clamped to 1.0"),
+    Cause(
+        "%d similarity iterations stopped at max-iter without converging",
+        "similarity iteration stopped at max-iter without converging",
+    ),
+    Cause(
+        "%d exact searches found no complete edit path in time; distance set to 1.0",
+        "no complete edit path within the timeout; distance set to 1.0",
+    ),
+    Cause(
+        "%d exact searches stopped at the deadline; best edit path found used",
+        "exact search stopped at the deadline; best edit path found used",
+    ),
+)
+CLAMPED, CAPPED, TIMED_OUT, STOPPED = range(len(CAUSES))
+
+# The count of each cause, in the order of CAUSES.
+Counts = tuple[int, ...]
+
+_counts = [0] * len(CAUSES)
 
 
 def note(cause: int) -> None:
@@ -29,6 +49,6 @@ def note(cause: int) -> None:
 
 def take() -> Counts:
     """The counts by cause since the last call, which resets them."""
-    counts = (_counts[CLAMPED], _counts[CAPPED], _counts[TIMED_OUT], _counts[STOPPED])
-    _counts[:] = [0, 0, 0, 0]
+    counts = tuple(_counts)
+    _counts[:] = [0] * len(CAUSES)
     return counts

@@ -46,9 +46,7 @@ class CostModel:
     endpoints the node mapping fixes, substitute for 0 if their labels are
     equal and for ``edge_relabel`` otherwise. ``math.inf`` forbids a
     substitution; every other cost is finite. Costs are non-negative and
-    ``node_relabel <= node_retype``, which makes ``_assign`` exact;
-    ``ged_astar`` also needs ``edge_relabel >= min(edge_delete,
-    edge_insert)`` for its edge bound.
+    ``node_relabel <= node_retype``, which makes ``_assign`` exact.
 
     ``mcost_n`` and ``mcost_e`` are the per-node and per-edge maximum costs
     used by the distance normalizations, and must be positive.
@@ -137,7 +135,6 @@ class SearchTables(NamedTuple):
     """
 
     keys: tuple[tuple[str, str], ...]  # (node_type, label) of each node
-    types: tuple[str, ...]
     key_counts: dict[tuple[str, str], int]
     type_counts: dict[str, int]
     label_counts: dict[str, int]  # of the edges
@@ -148,9 +145,8 @@ class SearchTables(NamedTuple):
     earlier: tuple[tuple[int, ...], ...]
     earlier_set: tuple[frozenset[int], ...]
     settle: tuple[tuple[str, ...], ...]
-    # As the target graph: each node's other neighbours, and the labels of
+    # As the target graph: each node's other neighbours, with the labels of
     # its edges with each of them.
-    nbr: tuple[tuple[int, ...], ...]
     links: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]
 
 
@@ -164,19 +160,13 @@ def search_tables(graph: AUG) -> SearchTables:
         rows[index[source]][index[target]] = tuple(sorted(counts.elements()))
     edges = tuple(map(tuple, rows))
     keys = tuple((node.node_type, node.label) for node in nodes)
-    types = tuple(node_type for node_type, _ in keys)
     earlier = tuple(
         tuple(j for j in range(i) if edges[i][j] or edges[j][i]) for i in range(size)
     )
-    nbr = tuple(
-        tuple(l for l in range(size) if l != k and (edges[k][l] or edges[l][k]))
-        for k in range(size)
-    )
     return SearchTables(
         keys=keys,
-        types=types,
         key_counts=Counter(keys),
-        type_counts=Counter(types),
+        type_counts=Counter(node_type for node_type, _ in keys),
         label_counts=Counter(edge.label for edge in graph.edges),
         edges=edges,
         earlier=earlier,
@@ -185,10 +175,9 @@ def search_tables(graph: AUG) -> SearchTables:
             edges[i][i] + tuple(x for j in before for x in edges[i][j] + edges[j][i])
             for i, before in enumerate(earlier)
         ),
-        nbr=nbr,
         links=tuple(
-            tuple((l, edges[k][l] + edges[l][k]) for l in others)
-            for k, others in enumerate(nbr)
+            tuple((l, pair) for l in range(size) if l != k and (pair := edges[k][l] + edges[l][k]))
+            for k in range(size)
         ),
     )
 
@@ -232,20 +221,21 @@ class _MappingSearch:
     fixed up front; only ``b``'s settled edges depend on the mapping. A
     search builds only its substitution matrix and three surplus dicts.
 
-    The remaining cost is bounded from below by (a) the exact cost of
-    ``_assign`` over the undecided source nodes against the unused target
-    nodes, which the node operations still to come can never beat, and (b)
-    an edge-surplus bound: of the not-yet-charged edge instances, at most
-    the label-wise overlap can ever be matched for free, and each of the
-    remaining ``max(r_a, r_b) - overlap`` costs at least ``min(edge_delete,
-    edge_insert)``. The assignment has a closed form over class counts: with
-    ``full``, ``typed`` and ``any`` the most pairs that can share a (type,
-    label) class, a type, or nothing, it pairs that many at each gain.
-    ``full``, ``typed`` and ``overlap`` are each a ``Σ min(x, y)`` of a
-    source-side count ``x`` and a target-side count ``y`` per key. One
-    ``min(x, y)`` drops by one when ``x`` drops while ``x <= y``, or ``y``
-    drops while ``y <= x``, so each sum is kept as an int updated from the
-    surplus ``x - y`` where a count changes, and restored on backtrack. Both
+    The remaining cost is bounded from below by the exact cost of
+    ``_assign`` over (a) the undecided source nodes against the unused
+    target nodes and (b) the labels of the uncharged source edges against
+    those of the uncharged target edges. The node and edge operations still
+    to come are such matchings, so neither can beat its assignment, under
+    any cost model. Each assignment has a closed form over class counts:
+    with ``full``, ``typed`` and ``any`` the most node pairs that can share a
+    (type, label) class, a type, or nothing, it pairs that many at each
+    gain; the edges pair ``overlap`` with the same label and ``min(r_a,
+    r_b) - overlap`` with any. ``full``, ``typed`` and ``overlap`` are each a
+    ``Σ min(x, y)`` of a source-side count ``x`` and a target-side count
+    ``y`` per key. One ``min(x, y)`` drops by one when ``x`` drops while ``x
+    <= y``, or ``y`` drops while ``y <= x``, so each sum is kept as an int
+    updated from the surplus ``x - y`` where a count changes. Each step
+    saves the ints it changes and assigns them back on backtrack. Both
     bounds underestimate, so a search that runs to completion is exact.
 
     Pruning starts at the root: before the first expansion, ``best`` holds
@@ -267,9 +257,8 @@ class _MappingSearch:
         self.pair_cost = _pair_costs(cm)
         self.edges_a, self.edges_b = ta.edges, tb.edges
         self.earlier_a, self.earlier_set_a, self.settle_a = ta.earlier, ta.earlier_set, ta.settle
-        self.nbr_b, self.links_b = tb.nbr, tb.links
-        self.key_a, self.type_a = ta.keys, ta.types
-        self.key_b, self.type_b = tb.keys, tb.types
+        self.links_b = tb.links
+        self.key_a, self.key_b = ta.keys, tb.keys
 
         # ``cm.node_substitute`` of each node pair, from their class keys
         relabel, retype = cm.node_relabel, cm.node_retype
@@ -281,6 +270,7 @@ class _MappingSearch:
             min(cost - cm.node_delete - cm.node_insert, 0.0)
             for cost in (0.0, relabel, retype)
         )
+        self.edge_gain_any = min(cm.edge_relabel - cm.edge_delete - cm.edge_insert, 0.0)
         # The source counts are of the undecided nodes and the uncharged
         # edges, the target counts of the unused nodes and uncharged edges.
         self.class_surplus, self.full = _surplus(ta.key_counts, tb.key_counts)
@@ -288,7 +278,6 @@ class _MappingSearch:
         self.label_surplus, self.overlap = _surplus(ta.label_counts, tb.label_counts)
         self.rest_a_total = a.edge_count
         self.rest_b_total = b.edge_count
-        self.min_edge_op = min(cm.edge_delete, cm.edge_insert)
 
         self.assign = [_DELETED] * self.n
         self.used = [False] * self.m
@@ -342,18 +331,11 @@ class _MappingSearch:
     def _mapping_ids(
         self, assign: list[int]
     ) -> tuple[tuple[str | None, str | None], ...]:
-        pairs: list[tuple[str | None, str | None]] = []
-        chosen = set()
-        for i, k in enumerate(assign):
-            if k == _DELETED:
-                pairs.append((self.a_nodes[i].id, None))
-            else:
-                pairs.append((self.a_nodes[i].id, self.b_nodes[k].id))
-                chosen.add(k)
-        for k in range(self.m):
-            if k not in chosen:
-                pairs.append((None, self.b_nodes[k].id))
-        return tuple(pairs)
+        b_ids, chosen = [v.id for v in self.b_nodes], set(assign)
+        return (
+            *((u.id, None if k == _DELETED else b_ids[k]) for u, k in zip(self.a_nodes, assign)),
+            *((None, v_id) for k, v_id in enumerate(b_ids) if k not in chosen),
+        )
 
     # -- cost pieces ------------------------------------------------------
 
@@ -367,12 +349,12 @@ class _MappingSearch:
             else:
                 delta += pair_cost(ea[i][j], eb[k][l])
                 delta += pair_cost(ea[j][i], eb[l][k])
-        # The other used neighbours' preimages share no edge with i.
+        # The other used neighbours' preimages share no edge with i, so their
+        # edges with k are inserted.
         adjacent, used, preimage = self.earlier_set_a[i], self.used, self.preimage
-        for l in self.nbr_b[k]:
+        for l, pair in self.links_b[k]:
             if used[l] and preimage[l] not in adjacent:
-                delta += pair_cost((), eb[k][l])
-                delta += pair_cost((), eb[l][k])
+                delta += self.cm.edge_insert * len(pair)
         delta += pair_cost(ea[i][i], eb[k][k])
         return delta
 
@@ -392,8 +374,22 @@ class _MappingSearch:
         )
 
     def _bound(self, depth: int) -> float:
-        uncharged = max(self.rest_a_total, self.rest_b_total)
-        return self._node_bound(depth) + self.min_edge_op * (uncharged - self.overlap)
+        """``_node_bound`` plus ``_assign``'s cost over the uncharged edges' labels.
+
+        The ``overlap`` same-label pairs cost nothing. The other edges are
+        deleted or inserted, except that as many as the fewer side has pair
+        up at ``edge_gain_any`` each.
+        """
+        rest_a = self.rest_a_total - self.overlap
+        rest_b = self.rest_b_total - self.overlap
+        # a comparison, not a min() call, which measurably slows this hot path
+        paired = rest_a if rest_a < rest_b else rest_b
+        return (
+            self._node_bound(depth)
+            + rest_a * self.cm.edge_delete
+            + rest_b * self.cm.edge_insert
+            + paired * self.edge_gain_any
+        )
 
     # -- search --------------------------------------------------------------
 
@@ -423,7 +419,9 @@ class _MappingSearch:
         used, classes, types, labels = (
             self.used, self.class_surplus, self.type_surplus, self.label_surplus
         )
-        key, kind, settled_a = self.key_a[i], self.type_a[i], self.settle_a[i]
+        key, settled_a = self.key_a[i], self.settle_a[i]
+        kind = key[0]
+        saved_a = self.full, self.typed, self.overlap, self.rest_a_total
         classes[key] -= 1
         if classes[key] < 0:
             self.full -= 1
@@ -448,7 +446,9 @@ class _MappingSearch:
             used[k] = True
             self.preimage[k] = i
             self.matched += 1
-            key_b, kind_b = self.key_b[k], self.type_b[k]
+            key_b = self.key_b[k]
+            kind_b = key_b[0]
+            saved_b = self.full, self.typed, self.overlap, self.rest_b_total
             classes[key_b] += 1
             if classes[key_b] > 0:
                 self.full -= 1
@@ -467,17 +467,11 @@ class _MappingSearch:
 
             self._dfs(depth + 1, new_cost)
 
-            self.rest_b_total += len(settled_b)
             for x in settled_b:
-                if labels[x] > 0:
-                    self.overlap += 1
                 labels[x] -= 1
-            if types[kind_b] > 0:
-                self.typed += 1
             types[kind_b] -= 1
-            if classes[key_b] > 0:
-                self.full += 1
             classes[key_b] -= 1
+            self.full, self.typed, self.overlap, self.rest_b_total = saved_b
             self.matched -= 1
             used[k] = False
             self.assign[i] = _DELETED
@@ -487,17 +481,11 @@ class _MappingSearch:
             self.assign[i] = _DELETED
             self._dfs(depth + 1, new_cost)
 
-        self.rest_a_total += len(settled_a)
         for x in settled_a:
-            if labels[x] < 0:
-                self.overlap += 1
             labels[x] += 1
-        if types[kind] < 0:
-            self.typed += 1
         types[kind] += 1
-        if classes[key] < 0:
-            self.full += 1
         classes[key] += 1
+        self.full, self.typed, self.overlap, self.rest_a_total = saved_a
 
 
 def _pair_edge_cost(cm: CostModel, ta: tuple[str, ...], tb: tuple[str, ...]) -> float:
@@ -524,16 +512,13 @@ def ged_astar(
     is returned with ``complete=False``. The search holds a complete path
     from its start, so ``GedTimeoutError`` is raised only if the deadline
     passes before the search starts. A NaN ``timeout`` raises
-    ``ValueError``, since no deadline would ever pass, and so does a model
-    whose ``edge_relabel`` is below ``min(edge_delete, edge_insert)``.
+    ``ValueError``, since no deadline would ever pass.
     """
     a.require_non_empty()
     b.require_non_empty()
     if math.isnan(timeout):
         raise ValueError("timeout must not be NaN")
     cm = cost_model or default_cost_model()
-    if cm.edge_relabel < min(cm.edge_delete, cm.edge_insert):
-        raise ValueError("the search needs edge_relabel >= min(edge_delete, edge_insert)")
     deadline = time.monotonic() + timeout
     return _MappingSearch(a, b, cm, deadline).run()
 

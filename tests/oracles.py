@@ -33,7 +33,7 @@ from augdist import (
     SimilarityMatrix,
     default_cost_model,
 )
-from augdist.exas import CosineMode, extract_features, sub_super
+from augdist.exas import CosineMode, FeatureVector, extract_features
 from augdist.ged import _DELETED, GedResult, _DeadlineHit
 from augdist.graphs import Node, split_by_api
 from augdist.node_similarity import DEFAULT_MAX_ITER, DEFAULT_TOL
@@ -363,6 +363,23 @@ def reference_similarity_matrix(
                 return SimilarityMatrix(current, iteration, True)
             previous_even = current
     return SimilarityMatrix(current, max_iter, False)
+
+
+def sub_super(
+    vec_a: FeatureVector, vec_b: FeatureVector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shared-key restrictions and zero-filled union extensions of two vectors.
+
+    Coordinates follow the canonical sorted order of the feature keys, so
+    positions are comparable across the four returned vectors.
+    """
+    shared = sorted(vec_a.keys() & vec_b.keys())
+    union = sorted(vec_a.keys() | vec_b.keys())
+    sub_a = np.array([vec_a[key] for key in shared], dtype=float)
+    sub_b = np.array([vec_b[key] for key in shared], dtype=float)
+    super_a = np.array([vec_a.get(key, 0) for key in union], dtype=float)
+    super_b = np.array([vec_b.get(key, 0) for key in union], dtype=float)
+    return sub_a, sub_b, super_a, super_b
 
 
 # The exas distances as they were before each graph's feature vector and

@@ -12,7 +12,6 @@ from augdist import (
     dist_exas_l1,
     dist_exas_split,
     extract_features,
-    sub_super,
 )
 from augdist import exas, graphs
 from augdist.exas import feature_lines, split_distance
@@ -25,6 +24,7 @@ from oracles import (
     reference_dist_exas_cosine,
     reference_dist_exas_l1,
     reference_split_distance,
+    sub_super,
 )
 
 SINGLE = aug("s", [("n", "A.m()", "action", "p.A")])

@@ -293,7 +293,7 @@ def _class_cost_models(draw) -> CostModel:
         ({"edge_insert": -0.5}, "edge_insert must be a non-negative number"),
         ({"node_delete": math.inf}, "node_delete must be finite"),
         ({"node_relabel": 2.5}, "node_relabel must not exceed node_retype"),
-        ({"edge_relabel": 1.5}, "edge_relabel >= min"),
+        ({"edge_relabel": -1.0}, "edge_relabel must be a non-negative number"),
         ({"mcost_n": 0.0}, "mcost_n must be positive"),
         ({"mcost_e": 0.0}, "mcost_e must be positive"),
         ({"mcost_n": -0.0}, "mcost_n must be positive"),
@@ -301,9 +301,8 @@ def _class_cost_models(draw) -> CostModel:
 )
 def test_models_without_an_exact_solution_rejected(changes, message):
     # the greedy assignment needs finite deletions and insertions and costs
-    # that grow as classes widen; the search's edge-surplus bound needs an
-    # edge relabel no cheaper than the cheaper of an edge deletion and an
-    # insertion; the normalized distances divide by mcost_n and mcost_e
+    # that grow as classes widen; the normalized distances divide by mcost_n
+    # and mcost_e
     with pytest.raises(ValueError, match=message):
         ged_astar(ONE_ACTION, GROWN, dataclasses.replace(default_cost_model(), **changes))
 
@@ -423,12 +422,7 @@ class TestNodeBoundIsTheAssignment:
     the undecided source nodes against the unused target nodes."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        drawn=_class_cost_models().filter(
-            lambda cm: cm.edge_relabel >= min(cm.edge_delete, cm.edge_insert)
-        ),
-    )
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), drawn=_class_cost_models())
     def test_equals_assign_at_every_call(self, seed, drawn):
         rng = random.Random(seed)
         a = random_aug(rng, "a", max_nodes=6, max_edges=8)
@@ -444,7 +438,8 @@ class TestNodeBoundIsTheAssignment:
 class _StateChecked(_MappingSearch):
     """A search that checks its running counts against a from-scratch count
     of the undecided and unused nodes and the uncharged edges at every
-    ``_bound`` call."""
+    ``_bound`` call, and its edge bound against ``_assign_edges`` over the
+    uncharged edges' labels."""
 
     def __init__(self, a, b, cm, deadline):
         super().__init__(a, b, cm, deadline)
@@ -472,8 +467,8 @@ class _StateChecked(_MappingSearch):
         assert (self.rest_a_total, self.rest_b_total) == (rest_a.total(), rest_b.total())
         assert self.overlap == overlap
         bound = super()._bound(depth)
-        uncharged = max(rest_a.total(), rest_b.total())
-        assert bound == self._node_bound(depth) + self.min_edge_op * (uncharged - overlap)
+        edges = _assign_edges(sorted(rest_a.elements()), sorted(rest_b.elements()), self.cm)[0]
+        assert bound - self._node_bound(depth) == edges
         self.calls += 1
         return bound
 
@@ -501,6 +496,38 @@ class TestIncrementalBoundState:
             assert search.run().complete
             assert search.calls
             assert search.state() == start
+
+
+# Edge relabels cheaper than an edge deletion or insertion, or free.
+CHEAP_EDGE_RELABEL = (
+    dataclasses.replace(default_cost_model(), edge_relabel=0.5),
+    dataclasses.replace(default_cost_model(), edge_relabel=0.0),
+    dataclasses.replace(FRACTIONAL, edge_relabel=0.25, edge_delete=1.5, edge_insert=0.5),
+)
+
+
+class TestAnyEdgeRelabelIsExact:
+    """The search stays exact however cheap an edge relabel is."""
+
+    @staticmethod
+    def _check(a, b, cm):
+        result = ged_astar(a, b, cm, timeout=60.0)
+        assert result.complete
+        assert result.cost == pytest.approx(brute_force_ged(a, b, cm), abs=1e-9), f"{a} vs {b}"
+        assert edit_path(a, b, result, cm).total_cost == pytest.approx(result.cost, abs=1e-9)
+
+    def test_fixed_models_match_brute_force(self):
+        for a, b in random_aug_pairs(seed=131, count=150, max_nodes=4, max_edges=8):
+            for cm in CHEAP_EDGE_RELABEL:
+                self._check(a, b, cm)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), drawn=_class_cost_models())
+    def test_drawn_models_match_brute_force(self, seed, drawn):
+        rng = random.Random(seed)
+        a = random_aug(rng, "a", max_nodes=4, max_edges=8)
+        b = random_aug(rng, "b", max_nodes=4, max_edges=8)
+        self._check(a, b, drawn)
 
 
 class TestPreparedSearchTables:
