@@ -137,17 +137,23 @@ class SearchTables(NamedTuple):
     keys: tuple[tuple[str, str], ...]  # (node_type, label) of each node
     key_counts: dict[tuple[str, str], int]
     type_counts: dict[str, int]
-    label_counts: dict[str, int]  # of the edges
     # edges[i][j]: the sorted labels of the edges from node i to node j
     edges: tuple[tuple[tuple[str, ...], ...], ...]
     # As the source graph, node i is decided at depth i, which settles its
-    # loops and its edges with its earlier neighbours.
+    # loops and its edges with its earlier neighbours, ``settled[i]`` edges.
     earlier: tuple[tuple[int, ...], ...]
     earlier_set: tuple[frozenset[int], ...]
-    settle: tuple[tuple[str, ...], ...]
+    settled: tuple[int, ...]
+    # At depth d the source edges left to charge are those with a node >= d.
+    # anchored[d][u], for each u < d: the sorted labels of u's edges to and
+    # from nodes >= d; among[d]: those of the edges among nodes >= d.
+    anchored: tuple[tuple[tuple[tuple[str, ...], tuple[str, ...]], ...], ...]
+    among: tuple[tuple[str, ...], ...]
     # As the target graph: each node's other neighbours, with the labels of
-    # its edges with each of them.
+    # its edges with each of them, and every edge as (source, target, label)
+    # in label order.
     links: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]
+    arcs: tuple[tuple[int, int, str], ...]
 
 
 def search_tables(graph: AUG) -> SearchTables:
@@ -163,22 +169,39 @@ def search_tables(graph: AUG) -> SearchTables:
     earlier = tuple(
         tuple(j for j in range(i) if edges[i][j] or edges[j][i]) for i in range(size)
     )
+    arcs = tuple(sorted(
+        ((index[edge.source], index[edge.target], edge.label) for edge in graph.edges),
+        key=lambda arc: arc[2],
+    ))
+    outs: list[list[tuple[int, str]]] = [[] for _ in nodes]
+    ins: list[list[tuple[int, str]]] = [[] for _ in nodes]
+    for i, j, x in arcs:
+        outs[i].append((j, x))
+        ins[j].append((i, x))
     return SearchTables(
         keys=keys,
         key_counts=Counter(keys),
         type_counts=Counter(node_type for node_type, _ in keys),
-        label_counts=Counter(edge.label for edge in graph.edges),
         edges=edges,
         earlier=earlier,
         earlier_set=tuple(map(frozenset, earlier)),
-        settle=tuple(
-            edges[i][i] + tuple(x for j in before for x in edges[i][j] + edges[j][i])
+        settled=tuple(
+            len(edges[i][i]) + sum(len(edges[i][j]) + len(edges[j][i]) for j in before)
             for i, before in enumerate(earlier)
         ),
+        anchored=tuple(
+            tuple(
+                (tuple(x for j, x in outs[u] if j >= d), tuple(x for j, x in ins[u] if j >= d))
+                for u in range(d)
+            )
+            for d in range(size)
+        ),
+        among=tuple(tuple(x for i, j, x in arcs if i >= d and j >= d) for d in range(size)),
         links=tuple(
             tuple((l, pair) for l in range(size) if l != k and (pair := edges[k][l] + edges[l][k]))
             for k in range(size)
         ),
+        arcs=arcs,
     )
 
 
@@ -219,24 +242,32 @@ class _MappingSearch:
     Node ``i`` of ``a`` is always decided at depth ``i``, so the ``a`` edges
     that deciding it settles (those with earlier nodes, and its loops) are
     fixed up front; only ``b``'s settled edges depend on the mapping. A
-    search builds only its substitution matrix and three surplus dicts.
+    search builds only its substitution matrix and two surplus dicts.
 
     The remaining cost is bounded from below by the exact cost of
     ``_assign`` over (a) the undecided source nodes against the unused
-    target nodes and (b) the labels of the uncharged source edges against
-    those of the uncharged target edges. The node and edge operations still
-    to come are such matchings, so neither can beat its assignment, under
-    any cost model. Each assignment has a closed form over class counts:
-    with ``full``, ``typed`` and ``any`` the most node pairs that can share a
-    (type, label) class, a type, or nothing, it pairs that many at each
-    gain; the edges pair ``overlap`` with the same label and ``min(r_a,
-    r_b) - overlap`` with any. ``full``, ``typed`` and ``overlap`` are each a
-    ``Σ min(x, y)`` of a source-side count ``x`` and a target-side count
-    ``y`` per key. One ``min(x, y)`` drops by one when ``x`` drops while ``x
-    <= y``, or ``y`` drops while ``y <= x``, so each sum is kept as an int
-    updated from the surplus ``x - y`` where a count changes. Each step
-    saves the ints it changes and assigns them back on backtrack. Both
-    bounds underestimate, so a search that runs to completion is exact.
+    target nodes and (b) the uncharged edges' labels, block by block. An
+    uncharged source edge between a decided node ``u`` and an undecided one
+    can only become a target edge in the same direction between ``u``'s
+    image and an unused node, or be deleted with ``u``; an edge among the
+    undecided nodes can only become one among the unused nodes. These
+    blocks split both sides' uncharged edges, so the edge operations still
+    to come are a matching within each block (Riesen, Fankhauser & Bunke
+    2007; Blumenthal & Gamper 2018). No matching beats its assignment,
+    under any cost model, and summing the blocks is never below pooling
+    them. At the root the only block is all edges. The source blocks depend
+    only on the depth and come from the tables; the target blocks are
+    gathered from ``b``'s edges at each call, and each is priced by the
+    memoized pair cost. The node assignment has a closed form over class
+    counts: with ``full``, ``typed`` and ``any`` the most node pairs that
+    can share a (type, label) class, a type, or nothing, it pairs that many
+    at each gain. ``full`` and ``typed`` are each a ``Σ min(x, y)`` of a
+    source-side count ``x`` and a target-side count ``y`` per key. One
+    ``min(x, y)`` drops by one when ``x`` drops while ``x <= y``, or ``y``
+    drops while ``y <= x``, so each sum is kept as an int updated from the
+    surplus ``x - y`` where a count changes. Each step saves the ints it
+    changes and assigns them back on backtrack. Both bounds underestimate,
+    so a search that runs to completion is exact.
 
     Pruning starts at the root: before the first expansion, ``best`` holds
     the cost the search itself charges for the mapping of ``_assign`` over
@@ -256,8 +287,9 @@ class _MappingSearch:
         ta, tb = a.search_tables, b.search_tables
         self.pair_cost = _pair_costs(cm)
         self.edges_a, self.edges_b = ta.edges, tb.edges
-        self.earlier_a, self.earlier_set_a, self.settle_a = ta.earlier, ta.earlier_set, ta.settle
-        self.links_b = tb.links
+        self.earlier_a, self.earlier_set_a, self.settled_a = ta.earlier, ta.earlier_set, ta.settled
+        self.anchored_a, self.among_a = ta.anchored, ta.among
+        self.links_b, self.arcs_b = tb.links, tb.arcs
         self.key_a, self.key_b = ta.keys, tb.keys
 
         # ``cm.node_substitute`` of each node pair, from their class keys
@@ -270,14 +302,11 @@ class _MappingSearch:
             min(cost - cm.node_delete - cm.node_insert, 0.0)
             for cost in (0.0, relabel, retype)
         )
-        self.edge_gain_any = min(cm.edge_relabel - cm.edge_delete - cm.edge_insert, 0.0)
-        # The source counts are of the undecided nodes and the uncharged
-        # edges, the target counts of the unused nodes and uncharged edges.
+        # The source counts are of the undecided nodes, the target counts of
+        # the unused nodes.
         self.class_surplus, self.full = _surplus(ta.key_counts, tb.key_counts)
         self.type_surplus, self.typed = _surplus(ta.type_counts, tb.type_counts)
-        self.label_surplus, self.overlap = _surplus(ta.label_counts, tb.label_counts)
-        self.rest_a_total = a.edge_count
-        self.rest_b_total = b.edge_count
+        self.rest_b_total = b.edge_count  # the uncharged target edges
 
         self.assign = [_DELETED] * self.n
         self.used = [False] * self.m
@@ -311,7 +340,7 @@ class _MappingSearch:
         for i in range(self.n):
             k = image.get(i, _DELETED)
             if k == _DELETED:
-                cost += cm.node_delete + cm.edge_delete * len(self.settle_a[i])
+                cost += cm.node_delete + cm.edge_delete * self.settled_a[i]
                 continue
             cost += self._substitute_delta(i, k)
             self.assign[i] = k
@@ -374,22 +403,28 @@ class _MappingSearch:
         )
 
     def _bound(self, depth: int) -> float:
-        """``_node_bound`` plus ``_assign``'s cost over the uncharged edges' labels.
-
-        The ``overlap`` same-label pairs cost nothing. The other edges are
-        deleted or inserted, except that as many as the fewer side has pair
-        up at ``edge_gain_any`` each.
-        """
-        rest_a = self.rest_a_total - self.overlap
-        rest_b = self.rest_b_total - self.overlap
-        # a comparison, not a min() call, which measurably slows this hot path
-        paired = rest_a if rest_a < rest_b else rest_b
-        return (
-            self._node_bound(depth)
-            + rest_a * self.cm.edge_delete
-            + rest_b * self.cm.edge_insert
-            + paired * self.edge_gain_any
-        )
+        """``_node_bound`` plus ``_assign``'s cost over each block of the
+        uncharged edges: the free block, then each decided source node's
+        edges out and in."""
+        used = self.used
+        # Index _DELETED is the extra list, which stays empty, so a deleted
+        # node's edges are priced as deletions.
+        out_b = [[] for _ in range(self.m + 1)]
+        in_b = [[] for _ in range(self.m + 1)]
+        free_b = []
+        for k, l, x in self.arcs_b:
+            if used[k]:
+                if not used[l]:
+                    out_b[k].append(x)
+            elif used[l]:
+                in_b[l].append(x)
+            else:
+                free_b.append(x)
+        pair_cost = self.pair_cost
+        bound = self._node_bound(depth) + pair_cost(self.among_a[depth], tuple(free_b))
+        for (out_a, in_a), k in zip(self.anchored_a[depth], self.assign):
+            bound += pair_cost(out_a, tuple(out_b[k])) + pair_cost(in_a, tuple(in_b[k]))
+        return bound
 
     # -- search --------------------------------------------------------------
 
@@ -413,26 +448,18 @@ class _MappingSearch:
         if cost + self._bound(depth) >= self.best:
             return
 
-        # Node i leaves the undecided source nodes, its settled edges the
-        # uncharged ones: a source count drops.
+        # Node i leaves the undecided source nodes: a source count drops.
         i = depth
-        used, classes, types, labels = (
-            self.used, self.class_surplus, self.type_surplus, self.label_surplus
-        )
-        key, settled_a = self.key_a[i], self.settle_a[i]
+        used, classes, types = self.used, self.class_surplus, self.type_surplus
+        key = self.key_a[i]
         kind = key[0]
-        saved_a = self.full, self.typed, self.overlap, self.rest_a_total
+        saved_a = self.full, self.typed
         classes[key] -= 1
         if classes[key] < 0:
             self.full -= 1
         types[kind] -= 1
         if types[kind] < 0:
             self.typed -= 1
-        for x in settled_a:
-            labels[x] -= 1
-            if labels[x] < 0:
-                self.overlap -= 1
-        self.rest_a_total -= len(settled_a)
 
         for k in range(self.m):
             if used[k]:
@@ -448,44 +475,35 @@ class _MappingSearch:
             self.matched += 1
             key_b = self.key_b[k]
             kind_b = key_b[0]
-            saved_b = self.full, self.typed, self.overlap, self.rest_b_total
+            saved_b = self.full, self.typed, self.rest_b_total
             classes[key_b] += 1
             if classes[key_b] > 0:
                 self.full -= 1
             types[kind_b] += 1
             if types[kind_b] > 0:
                 self.typed -= 1
-            settled_b = self.edges_b[k][k]
+            self.rest_b_total -= len(self.edges_b[k][k])
             for l, pair in self.links_b[k]:
                 if used[l]:
-                    settled_b += pair
-            for x in settled_b:
-                labels[x] += 1
-                if labels[x] > 0:
-                    self.overlap -= 1
-            self.rest_b_total -= len(settled_b)
+                    self.rest_b_total -= len(pair)
 
             self._dfs(depth + 1, new_cost)
 
-            for x in settled_b:
-                labels[x] -= 1
             types[kind_b] -= 1
             classes[key_b] -= 1
-            self.full, self.typed, self.overlap, self.rest_b_total = saved_b
+            self.full, self.typed, self.rest_b_total = saved_b
             self.matched -= 1
             used[k] = False
             self.assign[i] = _DELETED
 
-        new_cost = cost + (self.cm.node_delete + self.cm.edge_delete * len(settled_a))
+        new_cost = cost + (self.cm.node_delete + self.cm.edge_delete * self.settled_a[i])
         if new_cost < self.best:
             self.assign[i] = _DELETED
             self._dfs(depth + 1, new_cost)
 
-        for x in settled_a:
-            labels[x] += 1
         types[kind] += 1
         classes[key] += 1
-        self.full, self.typed, self.overlap, self.rest_a_total = saved_a
+        self.full, self.typed = saved_a
 
 
 def _pair_edge_cost(cm: CostModel, ta: tuple[str, ...], tb: tuple[str, ...]) -> float:
@@ -553,8 +571,6 @@ def dist_ged_astar(
     ``ged_astar``.
     """
     cm = cost_model or default_cost_model()
-    a.require_non_empty()
-    b.require_non_empty()
     try:
         result = ged_astar(a, b, cm, timeout)
     except GedTimeoutError:
