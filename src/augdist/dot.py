@@ -14,6 +14,12 @@ made of ``[A-Za-z0-9_.]`` and negative numerals (``-1``, ``-.5``,
 comments and ``/* */`` block comments. The keywords ``digraph``,
 ``subgraph``, ``graph``, ``node`` and ``edge`` are case-insensitive. Parsing
 fails only with ``DotSyntaxError`` or ``SchemaError``.
+
+Text is read statement by statement, one pattern match each, with only
+whitespace between tokens. A text the statement pattern cannot read
+(comments, touching tokens such as ``-1.2.3``, subgraphs and every error)
+goes to a token walk, which reads it from the start and is the only place
+errors are worded. Both build the same graph.
 """
 
 from __future__ import annotations
@@ -43,6 +49,54 @@ _SCANNER = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _unescape(body: str) -> str:
+    """A string token's value: ``\\"`` and ``\\\\`` stand for ``"`` and ``\\``."""
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+
+
+# The statement reader's tokens. Each id or negative numeral is followed by
+# a look-ahead for a character that would extend it, so that backtracking
+# never splits a token the scanner reads whole. Keywords ignore ASCII case
+# only ((?ai:...)): plain (?i) lets "İ" or "ı" stand for the "i" of
+# "digraph" and "ſ" for the "s" of "subgraph", which the scanner rejects.
+# Possessive quantifiers and atomic groups would do the look-aheads' job but
+# need Python 3.11.
+_STRING_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
+_ID = r"(?:[A-Za-z0-9_.]+(?![A-Za-z0-9_.])|-(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?![0-9.]))"
+_NAME = rf'(?:"{_STRING_BODY}"|{_ID})'
+_NAME_GROUPS = rf'(?:"({_STRING_BODY})"|({_ID}))'  # a string's body, or an id
+_ATTRS = rf"[\s,;]*(?:{_NAME}\s*=\s*{_NAME}[\s,;]*)*"
+
+_HEAD = re.compile(rf"\s*(?ai:digraph)(?![A-Za-z0-9_.])\s*(?:{_NAME_GROUPS}\s*)?\{{", re.DOTALL)
+# One match per statement, separated by whitespace only. Comments are left
+# to the token walk: a gap that also skips them made the reader much slower,
+# and without possessive quantifiers a "#" comment could end before its line
+# does. Groups: 1 the keyword of a default-attribute statement; 2-3 the
+# first name; 4 the arrow, 5-6 the second name and 7 the rest of an edge
+# chain; 8 the attribute list; 9 the closing brace at the end of the text;
+# 10 the rest of a text the reader hands to the token walk. Group 9 or 10 is
+# in the last match only.
+_STATEMENT = re.compile(
+    rf"""\s*(?:
+      (?:((?ai:graph|node|edge))(?![A-Za-z0-9_.])(?=\s*\[)
+      | (?!(?ai:subgraph)(?![A-Za-z0-9_.]))
+        {_NAME_GROUPS}
+        (?:\s*(->)\s*{_NAME_GROUPS}((?:\s*->\s*{_NAME})*))?
+      )
+      (?:\s*\[({_ATTRS})\])?
+    | (\}}\s*\Z)
+    | (.+)
+    )\s*;?""",
+    re.VERBOSE | re.DOTALL,
+)
+# These split what _STATEMENT has matched: an attribute list into pairs, and
+# the rest of an edge chain into names.
+_PAIR = re.compile(rf"{_NAME_GROUPS}\s*=\s*{_NAME_GROUPS}", re.DOTALL)
+_CHAIN = re.compile(_NAME_GROUPS, re.DOTALL)
+
 
 def _offset(text: str, index: int) -> int:
     """Offset of the index-th token, recomputed only to report an error."""
@@ -56,8 +110,7 @@ def _scan(text: str) -> tuple[list[str], list[str]]:
     for string, name, punct, other in _SCANNER.findall(text):
         if string:
             kinds.append("string")
-            body = string[1:-1]
-            values.append(re.sub(r'\\(["\\])', r"\1", body) if "\\" in body else body)
+            values.append(_unescape(string[1:-1]))
         elif name:
             kinds.append("id")
             values.append(name)
@@ -182,6 +235,49 @@ class _Parser:
             attrs[key] = self._name()
 
 
+def _read_statements(text: str) -> _Digraph | None:
+    """The graph ``_Parser`` builds from text, read one statement per match,
+    or None where the text needs the token walk: comments, other forms and
+    every error."""
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    statements = _STATEMENT.findall(text, head.end())
+    if not statements or not statements[-1][8]:  # no closing brace (group 9)
+        return None
+    name_str, name_id = head.groups("")
+    graph = _Digraph(_unescape(name_str or name_id))
+    nodes, edges = graph.nodes, graph.edges
+    for default, a_str, a_id, arrow, b_str, b_id, rest, attr_list, _, _ in statements[:-1]:
+        if default:
+            continue
+        attrs = {
+            _unescape(key_str or key_id): _unescape(value_str or value_id)
+            for key_str, key_id, value_str, value_id in _PAIR.findall(attr_list)
+        }
+        first = _unescape(a_str or a_id)
+        if not arrow:
+            if first in nodes:
+                nodes[first].update(attrs)
+            else:
+                nodes[first] = attrs
+            continue
+        second = _unescape(b_str or b_id)
+        if not rest:
+            edges.append((first, second, attrs))
+            continue
+        chain = [first, second] + [_unescape(s or i) for s, i in _CHAIN.findall(rest)]
+        for source, target in zip(chain, chain[1:]):
+            edges.append((source, target, dict(attrs)))
+    return graph
+
+
+def _digraph(text: str) -> _Digraph:
+    """The text's graph, by statement pattern where it reads the text."""
+    graph = _read_statements(text)
+    return graph if graph is not None else _Parser(text).parse()
+
+
 def _node_from_attrs(node_id: str, attrs: dict[str, str]) -> Node:
     if "label" not in attrs:
         raise SchemaError(f"node {node_id!r} is missing the 'label' attribute")
@@ -215,7 +311,7 @@ def _edge_label(source: str, target: str, attrs: dict[str, str]) -> str:
 
 def parse_aug(dot_text: str) -> AUG:
     """Parse DOT text describing a single usage graph."""
-    graph = _Parser(dot_text).parse()
+    graph = _digraph(dot_text)
     _check_declared(graph)
     nodes = []
     for node_id, attrs in graph.nodes.items():
@@ -239,7 +335,7 @@ def parse_rule(dot_text: str) -> CorrectionRule:
     The misuse and fix member graphs are rebuilt without empty nodes and
     without the ``transform`` edges, which become the rule's node mapping.
     """
-    graph = _Parser(dot_text).parse()
+    graph = _digraph(dot_text)
     _check_declared(graph)
 
     parts: dict[str, str] = {}

@@ -1,4 +1,5 @@
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +15,13 @@ from augdist import (
     parse_rule,
     serialize_aug,
 )
-from augdist.dot import _scan
+from augdist import dot
+from augdist.dot import _digraph, _Parser, _scan
+from gen import random_aug_pairs
 from helpers import aug
 from oracles import reference_tokenize
+
+DATA = Path(__file__).parent / "data"
 
 FIG_STYLE_GRAPH = """digraph "compute" {
   bar  [label="Bar", type="data", api="p.Bar"];
@@ -316,7 +321,14 @@ _PIECES = [
     "\\", "\x1c", "é", " ", "\n", "\t",
     "{", "}", "[", "]", "=", ",", ";",
 ]
-_dot_like = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+# Statement-shaped fragments, so that some texts are whole graphs the
+# statement reader reads and others break it just after a statement.
+_STATEMENTS = [
+    ' n [label="A", type=data, api=p.A]; ', " a -> b ", ' a -> b -> "c" ', " -> ",
+    "[label=-1, type=t]", "[,; k=v;]", "[]", "[k=ab=c]", " node [k=v] ", " EDGE ",
+    '"node"', "Graph", '"a\\"b\\\\"', "-1.2.3",
+]
+_dot_like = st.lists(st.sampled_from(_PIECES + _STATEMENTS), max_size=40).map("".join)
 
 
 def _tokens_or_error(tokenize, text):
@@ -359,3 +371,73 @@ class TestParserErrorContract:
                 parse(text)
             except (DotSyntaxError, SchemaError):
                 pass
+
+
+def _graph_or_message(read, text):
+    try:
+        graph = read(text)
+    except DotSyntaxError as error:
+        return str(error)
+    return graph.name, list(graph.nodes.items()), graph.edges
+
+
+def _walk(text):
+    return _Parser(text).parse()
+
+
+class TestStatementReaderMatchesWalk:
+    """Parsing by statement pattern, with the token walk for what the
+    pattern cannot read, builds the walk's graph in the same order, or
+    raises the walk's message, offsets included."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_dot_like, _dot_like.map(lambda body: f"digraph {{ {body} }}")))
+    @example("digraph { subgraph -> x }")
+    @example("digraph { a [k=ab=c] }")
+    @example("digraph { a [k=-1.2=v] }")
+    @example("digraph { a -> b #c }")
+    @example('digraph { node [label=x]; NODE; "node" [label=y, type=t] }')
+    @example("digraph { -1.2.3 }")
+    @example("digraph { a -> b -> c [label=l] }")
+    @example('digraph { a [label="say \\"hi\\" \\\\ bye"] }')
+    @example("d\u0131graph { }")
+    @example('digraph { a -> "" }')
+    def test_same_graph_or_message(self, text):
+        assert _graph_or_message(_digraph, text) == _graph_or_message(_walk, text)
+
+
+_READ_FORMS = [
+    "digraph { a -> b -> c [label=l] }",
+    'digraph g { node [label=x]; NODE; "node" [label=y, type=t] }',
+    'digraph { a [label="say \\"hi\\" \\\\ bye"]; a [type=t, label=-1.5] }',
+    'digraph -1 { a [,;]; "" -> a [label=l;] }',
+]
+
+
+class TestStatementReaderCoverage:
+    """The forms the package writes and bundles never reach the token walk,
+    so a reader that quietly hands every text to the walk fails here."""
+
+    @pytest.fixture(autouse=True)
+    def _no_walk(self, monkeypatch):
+        def walk(text):
+            raise AssertionError(f"the token walk was asked to read {text!r}")
+
+        monkeypatch.setattr(dot, "_Parser", walk)
+
+    @pytest.mark.parametrize(
+        "path", sorted(DATA.rglob("*.dot")), ids=lambda path: path.name
+    )
+    def test_bundled_files(self, path):
+        parse = parse_rule if path.parent.name == "rules" else parse_aug
+        parse(path.read_text(encoding="utf-8"))
+
+    def test_serialized_graphs(self):
+        for pair in random_aug_pairs(seed=17, count=40, max_nodes=8, max_edges=12):
+            for graph in pair:
+                assert _same_graph(parse_aug(serialize_aug(graph)), graph)
+
+    @pytest.mark.parametrize("text", _READ_FORMS)
+    def test_statement_forms(self, text):
+        # _walk calls this module's _Parser, which the fixture leaves alone
+        assert _graph_or_message(_digraph, text) == _graph_or_message(_walk, text)
