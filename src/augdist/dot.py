@@ -245,28 +245,30 @@ def _read_statements(text: str) -> _Digraph | None:
     statements = _STATEMENT.findall(text, head.end())
     if not statements or not statements[-1][8]:  # no closing brace (group 9)
         return None
+    # Only a text with a backslash has anything to unescape.
+    unescape = _unescape if "\\" in text else str
     name_str, name_id = head.groups("")
-    graph = _Digraph(_unescape(name_str or name_id))
+    graph = _Digraph(unescape(name_str or name_id))
     nodes, edges = graph.nodes, graph.edges
     for default, a_str, a_id, arrow, b_str, b_id, rest, attr_list, _, _ in statements[:-1]:
         if default:
             continue
         attrs = {
-            _unescape(key_str or key_id): _unescape(value_str or value_id)
+            unescape(key_str or key_id): unescape(value_str or value_id)
             for key_str, key_id, value_str, value_id in _PAIR.findall(attr_list)
         }
-        first = _unescape(a_str or a_id)
+        first = unescape(a_str or a_id)
         if not arrow:
             if first in nodes:
                 nodes[first].update(attrs)
             else:
                 nodes[first] = attrs
             continue
-        second = _unescape(b_str or b_id)
+        second = unescape(b_str or b_id)
         if not rest:
             edges.append((first, second, attrs))
             continue
-        chain = [first, second] + [_unescape(s or i) for s, i in _CHAIN.findall(rest)]
+        chain = [first, second] + [unescape(s or i) for s, i in _CHAIN.findall(rest)]
         for source, target in zip(chain, chain[1:]):
             edges.append((source, target, dict(attrs)))
     return graph

@@ -3,7 +3,9 @@
 Two route families over a shared cost model: an exact-leaning depth-first
 branch-and-bound search over node mappings with admissible pruning and a
 wall-clock deadline, and the bipartite node-assignment approximation of
-Riesen & Bunke (2009), node costs only.
+Riesen & Bunke (2009), node costs only. The approximation's cost is a closed
+form over each graph's node-class counts (``AUG.node_class_counts``, counted
+once per graph); only its pairs need ``_assign``.
 
 Nodes and edges share one assignment, ``_assign``, which needs no solver. A
 partial matching of n items against m costs ``n·delete + m·insert + Σ
@@ -135,8 +137,6 @@ class SearchTables(NamedTuple):
     """
 
     keys: tuple[tuple[str, str], ...]  # (node_type, label) of each node
-    key_counts: dict[tuple[str, str], int]
-    type_counts: dict[str, int]
     # edges[i][j]: the sorted labels of the edges from node i to node j
     edges: tuple[tuple[tuple[str, ...], ...], ...]
     # As the source graph, node i is decided at depth i, which settles its
@@ -180,8 +180,6 @@ def search_tables(graph: AUG) -> SearchTables:
         ins[j].append((i, x))
     return SearchTables(
         keys=keys,
-        key_counts=Counter(keys),
-        type_counts=Counter(node_type for node_type, _ in keys),
         edges=edges,
         earlier=earlier,
         earlier_set=tuple(map(frozenset, earlier)),
@@ -205,16 +203,35 @@ def search_tables(graph: AUG) -> SearchTables:
     )
 
 
-def _surplus(counts_a: dict, counts_b: dict) -> tuple[dict, int]:
-    """``counts_a[key] - counts_b[key]`` over the union of keys, and the
-    overlap ``Σ min(counts_a[key], counts_b[key])``."""
+def _surplus(counts_a: dict, counts_b: dict) -> dict:
+    """``counts_a[key] - counts_b[key]`` over the union of keys."""
     surplus = dict.fromkeys(counts_b, 0)
     surplus.update(counts_a)
-    overlap = 0
     for key, count in counts_b.items():
-        overlap += min(surplus[key], count)
         surplus[key] -= count
-    return surplus, overlap
+    return surplus
+
+
+def _overlap(counts_a: dict, counts_b: dict) -> int:
+    """``Σ min(counts_a[key], counts_b[key])`` over the keys both count."""
+    overlap = 0
+    for key in counts_a.keys() & counts_b.keys():
+        x, y = counts_a[key], counts_b[key]
+        overlap += x if x < y else y
+    return overlap
+
+
+def _node_gains(cm: CostModel) -> tuple[float, float, float]:
+    """``_assign``'s node gains, clamped at 0: what substituting two nodes
+    of one (type, label) class, of one type only, or of neither costs more
+    than deleting one and inserting the other, computed as ``_assign``
+    computes them."""
+    spare = cm.node_delete + cm.node_insert
+    return (
+        min(0.0 - spare, 0.0),
+        min(cm.node_relabel - spare, 0.0),
+        min(cm.node_retype - spare, 0.0),
+    )
 
 
 @functools.lru_cache(maxsize=4)
@@ -236,10 +253,11 @@ class _MappingSearch:
     when the second endpoint of an edge is decided, so the accumulated cost
     of a partial mapping covers exactly the edges whose fate is fixed.
 
-    The per-graph tables come from ``AUG.search_tables``, built once per
-    graph and run: each ordered node pair's edges are a sorted tuple of
-    label strings, on which a pair's edit cost is memoized per cost model.
-    Node ``i`` of ``a`` is always decided at depth ``i``, so the ``a`` edges
+    The per-graph tables come from ``AUG.search_tables`` and the class
+    counts from ``AUG.node_class_counts``, built once per graph and run:
+    each ordered node pair's edges are a sorted tuple of label strings, on
+    which a pair's edit cost is memoized per cost model. Node ``i`` of
+    ``a`` is always decided at depth ``i``, so the ``a`` edges
     that deciding it settles (those with earlier nodes, and its loops) are
     fixed up front; only ``b``'s settled edges depend on the mapping. A
     search builds only its substitution matrix and two surplus dicts.
@@ -298,14 +316,13 @@ class _MappingSearch:
             [0.0 if u == v else relabel if u[0] == v[0] else retype for v in tb.keys]
             for u in ta.keys
         ]
-        self.gain_full, self.gain_typed, self.gain_any = (
-            min(cost - cm.node_delete - cm.node_insert, 0.0)
-            for cost in (0.0, relabel, retype)
-        )
+        self.gain_full, self.gain_typed, self.gain_any = _node_gains(cm)
         # The source counts are of the undecided nodes, the target counts of
         # the unused nodes.
-        self.class_surplus, self.full = _surplus(ta.key_counts, tb.key_counts)
-        self.type_surplus, self.typed = _surplus(ta.type_counts, tb.type_counts)
+        (classes_a, types_a), (classes_b, types_b) = a.node_class_counts, b.node_class_counts
+        self.class_surplus = _surplus(classes_a, classes_b)
+        self.type_surplus = _surplus(types_a, types_b)
+        self.full, self.typed = _overlap(classes_a, classes_b), _overlap(types_a, types_b)
         self.rest_b_total = b.edge_count  # the uncharged target edges
 
         self.assign = [_DELETED] * self.n
@@ -630,15 +647,6 @@ def _assign(
     return cost, pairs
 
 
-def _assign_nodes(a: AUG, b: AUG, cm: CostModel) -> tuple[float, list[tuple[int, int]]]:
-    """Optimal node-only assignment over both graphs' nodes in id order."""
-    a.require_non_empty()
-    b.require_non_empty()
-    keys_a, keys_b = ([(u.node_type, u.label) for u in g.nodes_in_id_order] for g in (a, b))
-    costs = (cm.node_retype, cm.node_relabel, 0.0)
-    return _assign(keys_a, keys_b, costs, cm.node_delete, cm.node_insert)
-
-
 def _assign_edges(
     labels_a: Sequence[str], labels_b: Sequence[str], cm: CostModel
 ) -> tuple[float, list[tuple[int, int]]]:
@@ -650,22 +658,52 @@ def _assign_edges(
 def hungarian_assignment(
     a: AUG, b: AUG, cost_model: CostModel | None = None
 ) -> tuple[float, list[tuple[str, str]]]:
-    """Optimal node-only assignment, paired class by class.
+    """The optimal node-only assignment's pairs, computed class by class
+    over both graphs' nodes in id order.
 
-    Returns the assignment's total cost and the substitution pairs it chose,
-    each costing less than a deletion plus an insertion. A substitution
-    costing exactly that is reported as a deletion and an insertion instead;
-    the cost is the same. Edge costs are ignored entirely.
+    Returns the assignment's total cost, equal to ``ged_hungarian``'s, and
+    the substitution pairs it chose, each costing less than a deletion plus
+    an insertion. A substitution costing exactly that is reported as a
+    deletion and an insertion instead; the cost is the same. Edge costs are
+    ignored entirely.
     """
+    a.require_non_empty()
+    b.require_non_empty()
     cm = cost_model or default_cost_model()
-    cost, pairs = _assign_nodes(a, b, cm)
     a_nodes, b_nodes = a.nodes_in_id_order, b.nodes_in_id_order
+    keys_a, keys_b = ([(u.node_type, u.label) for u in nodes] for nodes in (a_nodes, b_nodes))
+    costs = (cm.node_retype, cm.node_relabel, 0.0)
+    cost, pairs = _assign(keys_a, keys_b, costs, cm.node_delete, cm.node_insert)
     return cost, [(a_nodes[i].id, b_nodes[k].id) for i, k in pairs]
 
 
 def ged_hungarian(a: AUG, b: AUG, cost_model: CostModel | None = None) -> float:
-    """Total node-edit cost of the optimal bipartite assignment."""
-    return _assign_nodes(a, b, cost_model or default_cost_model())[0]
+    """Total node-edit cost of the optimal bipartite assignment, in closed
+    form from both graphs' ``node_class_counts``, without building pairs.
+
+    The optimum pairs as many nodes as can share a (type, label) class at
+    the class gain, as many more as can share a type at the type gain, and
+    the rest of the smaller graph at the last gain, stopping at the first
+    gain that saves nothing. Each gain is added once per pair in that order,
+    as ``_assign`` adds it, so the cost equals ``hungarian_assignment``'s to
+    the last bit under every model.
+    """
+    a.require_non_empty()
+    b.require_non_empty()
+    cm = cost_model or default_cost_model()
+    n, m = a.node_count, b.node_count
+    counts_a, counts_b = a.node_class_counts, b.node_class_counts
+    cost = n * cm.node_delete + m * cm.node_insert
+    paired = 0
+    # Levels 0 and 1 are the class and the type counts; any two nodes pair at 2.
+    for level, gain in enumerate(_node_gains(cm)):
+        if not gain < 0.0:
+            break
+        most = _overlap(counts_a[level], counts_b[level]) if level < 2 else min(n, m)
+        for _ in range(most - paired):
+            cost += gain
+        paired = most
+    return cost
 
 
 def dist_ged_hungarian(a: AUG, b: AUG, cost_model: CostModel | None = None) -> float:

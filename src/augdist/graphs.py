@@ -115,6 +115,22 @@ class AUG:
         return tuple(sorted(self.nodes, key=lambda node: node.id))
 
     @cached_property
+    def node_class_counts(self) -> tuple[dict[tuple[str, str], int], dict[str, int]]:
+        """How many nodes share each ``(node_type, label)`` class, and each
+        ``node_type``, counted once per graph.
+
+        Plain dicts for fast lookups; callers must not mutate them, since
+        the graph is shared.
+        """
+        classes: dict[tuple[str, str], int] = {}
+        types: dict[str, int] = {}
+        for node in self.nodes:
+            key = node.node_type, node.label
+            classes[key] = classes.get(key, 0) + 1
+            types[node.node_type] = types.get(node.node_type, 0) + 1
+        return classes, types
+
+    @cached_property
     def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and target positions of the distinct ordered node pairs
         joined by an edge, sorted, with nodes numbered as in

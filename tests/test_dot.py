@@ -400,6 +400,7 @@ class TestStatementReaderMatchesWalk:
     @example("digraph { -1.2.3 }")
     @example("digraph { a -> b -> c [label=l] }")
     @example('digraph { a [label="say \\"hi\\" \\\\ bye"] }')
+    @example('digraph { "a" [label=x, type=t]; a -> "b" [label="r\\\\e"]; b [type=t] }')
     @example("d\u0131graph { }")
     @example('digraph { a -> "" }')
     def test_same_graph_or_message(self, text):

@@ -285,16 +285,18 @@ FRACTIONAL = CostModel(
 )
 
 _QUARTERS = st.integers(min_value=1, max_value=12).map(lambda k: k / 4)
+# Most tenths have no exact binary form, so sums of them round.
+_TENTHS = st.integers(min_value=1, max_value=30).map(lambda k: k / 10)
 
 
 @st.composite
-def _class_cost_models(draw) -> CostModel:
+def _class_cost_models(draw, costs=_QUARTERS) -> CostModel:
     """Fractional class costs, nondecreasing as classes widen; a substitution
     may tie with a deletion plus an insertion or be forbidden."""
-    node_delete, node_insert, edge_delete, edge_insert = (draw(_QUARTERS) for _ in range(4))
+    node_delete, node_insert, edge_delete, edge_insert = (draw(costs) for _ in range(4))
 
     def substitution(tie: float) -> float:
-        return draw(st.one_of(_QUARTERS, st.just(tie), st.just(math.inf)))
+        return draw(st.one_of(costs, st.just(tie), st.just(math.inf)))
 
     relabel, retype = sorted(substitution(node_delete + node_insert) for _ in range(2))
     return CostModel(
@@ -384,6 +386,37 @@ class TestAssignmentMatchesPaddedReference:
             if name == "mcs":
                 assert len(pairs) == max_identical_matching(a, b)
                 assert dist_mcs_hungarian(a, b) == min(1.0, cost / max(a.node_count, b.node_count))
+
+
+@st.composite
+def _crowded_graph(draw, name: str) -> AUG:
+    """Up to 40 nodes over two labels and two types, so classes hold many."""
+    classes = draw(st.lists(
+        st.tuples(st.sampled_from(("A.m()", "A")), st.sampled_from(("action", "data"))),
+        min_size=1,
+        max_size=40,
+    ))
+    return AUG(name, tuple(Node(f"n{i}", *key) for i, key in enumerate(classes)), ())
+
+
+class TestClosedFormIsTheAssignment:
+    """``ged_hungarian``'s closed form is the float ``_assign`` sums, bit
+    for bit, however many nodes each class holds."""
+
+    def test_gains_are_added_once_per_pair(self):
+        # Two relabels: 0.75·2 + 1.25·2 + 2·(0.3 − 2.0) would give
+        # 0.6000000000000001.
+        a = aug("a", [("n1", "A.m()", "action"), ("n2", "A.m()", "action")])
+        b = aug("b", [("n1", "A.n()", "action"), ("n2", "A.n()", "action")])
+        assert hungarian_assignment(a, b, FRACTIONAL)[0] == 0.5999999999999999
+        assert ged_hungarian(a, b, FRACTIONAL) == 0.5999999999999999
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_crowded_graph("a"), b=_crowded_graph("b"), drawn=_class_cost_models(_TENTHS))
+    def test_crowded_classes_under_tenths(self, a, b, drawn):
+        cost = ged_hungarian(a, b, drawn)
+        assert cost == hungarian_assignment(a, b, drawn)[0]
+        assert cost == pytest.approx(reference_hungarian_assignment(a, b, drawn)[0], abs=1e-9)
 
 
 _EDGE_LABELS = st.lists(st.sampled_from(("recv", "para", "order", "sel")), max_size=5)
@@ -607,6 +640,56 @@ class TestPreparedSearchTables:
             for cm in (default_cost_model(), mcs_cost_model()):
                 assert ged_astar(restored, b, cm, 60.0) == ged_astar(fresh, b, cm, 60.0)
                 assert ged_astar(b, restored, cm, 60.0) == ged_astar(b, fresh, cm, 60.0)
+
+
+class TestPreparedNodeClassCounts:
+    def test_counts(self):
+        graph = aug("g", [("n1", "A", "data"), ("n2", "A.m()", "action"), ("n3", "A", "data")])
+        assert graph.node_class_counts == (
+            {("data", "A"): 2, ("action", "A.m()"): 1},
+            {"data": 2, "action": 1},
+        )
+
+    def test_built_once_per_graph(self, monkeypatch):
+        calls = Counter()
+        build = AUG.node_class_counts.func
+
+        def counted(graph):
+            calls[graph.name] += 1
+            return build(graph)
+
+        monkeypatch.setattr(AUG.node_class_counts, "func", counted)
+        pairs = random_aug_pairs(seed=139, count=4, max_nodes=4, max_edges=5, min_edges=1)
+        pool = [graph for pair in pairs for graph in pair]
+        for a in pool:
+            for b in pool:
+                dist_ged_hungarian(a, b)
+                dist_mcs_hungarian(a, b)
+                ged_hungarian(a, b, FRACTIONAL)
+                ged_astar(a, b, timeout=60.0)
+        assert calls == Counter({graph.name: 1 for graph in pool})
+
+    def test_survives_pickle(self):
+        for a, b in random_aug_pairs(seed=149, count=20, max_nodes=6, max_edges=6):
+            a.node_class_counts
+            restored = pickle.loads(pickle.dumps(a))
+            assert "node_class_counts" in vars(restored)
+            assert restored.node_class_counts == a.node_class_counts
+            fresh = AUG(a.name, a.nodes, a.edges)
+            for cm in (default_cost_model(), mcs_cost_model(), FRACTIONAL):
+                assert ged_hungarian(restored, b, cm) == ged_hungarian(fresh, b, cm)
+                assert ged_hungarian(b, restored, cm) == ged_hungarian(b, fresh, cm)
+                assert ged_astar(restored, b, cm, 60.0) == ged_astar(fresh, b, cm, 60.0)
+
+    def test_hungarian_builds_no_search_tables(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError(f"search tables built for {graph.name!r}")
+
+        monkeypatch.setattr(AUG.search_tables, "func", refuse)
+        for a, b in random_aug_pairs(seed=151, count=20, max_nodes=6, max_edges=6):
+            dist_ged_hungarian(a, b)
+            dist_mcs_hungarian(a, b)
+            assert "search_tables" not in vars(a) and "search_tables" not in vars(b)
 
 
 class TestPreparedNodeOrder:

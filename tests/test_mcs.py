@@ -1,4 +1,4 @@
-from augdist import dist_mcs_hungarian, mcs_assignment
+from augdist import dist_mcs_hungarian, ged_hungarian, mcs_assignment, mcs_cost_model
 from gen import random_aug_pairs
 from helpers import aug
 from oracles import max_identical_matching
@@ -41,6 +41,12 @@ class TestOracleEquivalence:
         for a, b in random_aug_pairs(seed=43, count=60, max_nodes=5, max_edges=4):
             cost, pairs = mcs_assignment(a, b)
             assert cost == a.node_count + b.node_count - 2 * len(pairs)
+
+    def test_closed_form_cost_reflects_matching_size(self):
+        # the cost path of dist_mcs_hungarian, which builds no pairs
+        for a, b in random_aug_pairs(seed=61, count=80, max_nodes=5, max_edges=4):
+            expected = a.node_count + b.node_count - 2 * max_identical_matching(a, b)
+            assert ged_hungarian(a, b, mcs_cost_model()) == expected
 
     def test_no_forbidden_substitution_ever_selected(self):
         for a, b in random_aug_pairs(seed=47, count=60, max_nodes=5, max_edges=4):
