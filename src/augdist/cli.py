@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, get_args
+from typing import Callable
 
 from . import exas, fallbacks, ged, mcs, node_similarity
 from .dot import parse_aug
@@ -43,6 +43,7 @@ from .evaluation import (
     write_detection_csv,
     write_timing_csv,
 )
+from .exas import COSINE_MODES
 from .graphs import AUG, CorrectionRule
 
 logger = logging.getLogger(__name__)
@@ -51,7 +52,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INCOMPUTABLE = 3
 
-COSINE_MODES = get_args(exas.CosineMode)
 
 @dataclass(frozen=True)
 class RunConfig:

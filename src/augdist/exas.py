@@ -7,83 +7,98 @@ already cover them. Paths are simple (no node revisited), follow edge
 direction, and are enumerated over edge instances, so parallel edges
 contribute separate occurrences of the same feature key.
 
-Each graph's vector is counted once, as ``AUG.feature_counts``, and each
-graph is split by package once, as ``AUG.api_parts``; a distance only
-compares prepared vectors. The L1 distance is an exact integer sum over the
-union of feature keys, rounded once by each of its two divisions.
+Each graph's vector is counted once, as ``AUG.feature_counts``, together
+with its total and its keys from the highest count down, as
+``AUG.feature_profile``; each graph is split by package once, as
+``AUG.api_parts``. A distance only compares prepared vectors. The L1
+distance visits only the keys both vectors share: its sum over the union of
+keys is the two totals less twice the shared minima, an exact integer, and
+it is rounded once by each of its two divisions.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Callable, Literal, get_args
 
-from .graphs import AUG, Edge
+from .graphs import AUG
 
 # ("pq", label, node_type, in_degree, out_degree) or
 # ("path", label0, edge_label0, label1, ..., labelN)
 Feature = tuple
-FeatureVector = Counter
-
-MAX_PATH_NODES = 4
+FeatureVector = dict[Feature, int]
 
 CosineMode = Literal["corrected", "literal"]
 SplitBase = Literal["l1", "cosine"]
+COSINE_MODES: tuple[str, ...] = get_args(CosineMode)
+SPLIT_BASES: tuple[str, ...] = get_args(SplitBase)
 
 DEFAULT_LAMBDA = 0.5
 DEFAULT_COSINE_MODE: CosineMode = "corrected"
 
 
 def extract_features(graph: AUG) -> FeatureVector:
-    """Count every degree-annotated node and every simple 2..4-node path."""
+    """Count every degree-annotated node and every simple 2..4-node path.
+
+    Each path is extended one edge instance at a time from each start node,
+    skipping an edge whose target the path already holds.
+    """
     graph.require_non_empty()
-    indegree: Counter[str] = Counter()
-    outdegree: Counter[str] = Counter()
-    out_edges: dict[str, list[Edge]] = {node.id: [] for node in graph.nodes}
-    for edge in graph.edges:
-        outdegree[edge.source] += 1
-        indegree[edge.target] += 1
-        out_edges[edge.source].append(edge)
-
-    counts: Counter[Feature] = Counter()
-    for node in graph.nodes:
-        counts[("pq", node.label, node.node_type, indegree[node.id], outdegree[node.id])] += 1
-
     labels = {node.id: node.label for node in graph.nodes}
+    indegree = dict.fromkeys(labels, 0)
+    # per node: (target, edge label, target label) of each outgoing edge
+    out_edges: dict[str, list[tuple[str, str, str]]] = {node_id: [] for node_id in labels}
+    for edge in graph.edges:
+        target = edge.target
+        indegree[target] += 1
+        out_edges[edge.source].append((target, edge.label, labels[target]))
 
-    def walk(last: str, visited: set[str], parts: tuple[str, ...]) -> None:
-        for edge in out_edges[last]:
-            if edge.target in visited:
-                continue
-            extended = parts + (edge.label, labels[edge.target])
-            counts[("path", *extended)] += 1
-            if len(visited) + 1 < MAX_PATH_NODES:
-                walk(edge.target, visited | {edge.target}, extended)
+    counts: FeatureVector = {}
+    for node in graph.nodes:
+        key = ("pq", node.label, node.node_type, indegree[node.id], len(out_edges[node.id]))
+        counts[key] = counts.get(key, 0) + 1
 
     for node in graph.nodes:
-        walk(node.id, {node.id}, (node.label,))
+        first = node.id
+        start = ("path", node.label)
+        for second, label1, node_label1 in out_edges[first]:
+            if second == first:
+                continue
+            key2 = start + (label1, node_label1)
+            counts[key2] = counts.get(key2, 0) + 1
+            for third, label2, node_label2 in out_edges[second]:
+                if third == first or third == second:
+                    continue
+                key3 = key2 + (label2, node_label2)
+                counts[key3] = counts.get(key3, 0) + 1
+                for fourth, label3, node_label3 in out_edges[third]:
+                    if fourth == first or fourth == second or fourth == third:
+                        continue
+                    key4 = key3 + (label3, node_label3)
+                    counts[key4] = counts.get(key4, 0) + 1
     return counts
 
 
 def _check_cosine_options(lam: float, mode: str) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must be within [0, 1]")
-    if mode not in get_args(CosineMode):
+    if mode not in COSINE_MODES:
         raise ValueError(f"unknown cosine mode {mode!r}")
 
 
-def _cosine(
-    vec_a: dict[Feature, int], vec_b: dict[Feature, int], lam: float, mode: str
-) -> float:
+def _cosine(vec_a: FeatureVector, vec_b: FeatureVector, lam: float, mode: str) -> float:
     shared = vec_a.keys() & vec_b.keys()
     shared_fraction = len(shared) / len(vec_a)
     if shared:
         # integer arithmetic keeps cos(v, v) == 1 exactly: the squared norms
         # multiply to a perfect square, whose float sqrt is the exact dot
-        dot = sum(vec_a[key] * vec_b[key] for key in shared)
-        square_a = sum(vec_a[key] ** 2 for key in shared)
-        square_b = sum(vec_b[key] ** 2 for key in shared)
+        dot = square_a = square_b = 0
+        for key in shared:
+            count_a = vec_a[key]
+            count_b = vec_b[key]
+            dot += count_a * count_b
+            square_a += count_a * count_a
+            square_b += count_b * count_b
         cosine = dot / math.sqrt(square_a * square_b)
     else:
         cosine = 0.0
@@ -92,19 +107,52 @@ def _cosine(
     return min(1.0, max(0.0, value))
 
 
+def _largest_unshared(
+    vector: FeatureVector, order: tuple[Feature, ...], other: FeatureVector
+) -> int:
+    """The highest count of a key of ``vector`` missing from ``other``, 0 if none."""
+    for key in order:
+        if key not in other:
+            return vector[key]
+    return 0
+
+
 def dist_exas_l1(a: AUG, b: AUG) -> float:
     """Mean absolute value of the max-normalized super-vector difference.
 
     The plain 1-norm of the normalized difference grows with the number of
     features; dividing by the vector length keeps the result in [0, 1] and 1
     exactly means no feature is shared at equal scale.
+
+    Only the shared keys are visited: a key on one side contributes its own
+    count to the sum, and the highest such count per side comes from the
+    side's prepared descending key order.
     """
     a.require_non_empty()
     b.require_non_empty()
     vec_a, vec_b = a.feature_counts, b.feature_counts
-    diffs = [abs(count - vec_b.get(key, 0)) for key, count in vec_a.items()]
-    diffs.extend(count for key, count in vec_b.items() if key not in vec_a)
-    return sum(diffs) / max(1, max(diffs)) / len(diffs)
+    (total_a, order_a), (total_b, order_b) = a.feature_profile, b.feature_profile
+    shared = vec_a.keys() & vec_b.keys()
+    overlap = largest = 0
+    for key in shared:
+        count_a = vec_a[key]
+        count_b = vec_b[key]
+        if count_a < count_b:
+            overlap += count_a
+            diff = count_b - count_a
+        else:
+            overlap += count_b
+            diff = count_a - count_b
+        if diff > largest:
+            largest = diff
+    largest = max(
+        largest,
+        _largest_unshared(vec_a, order_a, vec_b),
+        _largest_unshared(vec_b, order_b, vec_a),
+    )
+    total = total_a + total_b - 2 * overlap
+    length = len(vec_a) + len(vec_b) - len(shared)
+    return total / max(1, largest) / length
 
 
 def dist_exas_cosine(
@@ -160,7 +208,7 @@ def dist_exas_split(
     """Per-package split variant of the L1 or cosine vector distance."""
     a.require_non_empty()
     b.require_non_empty()
-    if base not in get_args(SplitBase):
+    if base not in SPLIT_BASES:
         raise ValueError(f"unknown base distance {base!r}")
     _check_cosine_options(lam, mode)
     if base == "l1":

@@ -156,7 +156,17 @@ class AUG:
         """
         from . import exas  # exas imports this module
 
-        return dict(exas.extract_features(self))
+        return exas.extract_features(self)
+
+    @cached_property
+    def feature_profile(self) -> tuple[int, tuple[tuple, ...]]:
+        """The total of ``feature_counts`` and its keys from the highest
+        count down, so that the L1 distance only has to visit the keys two
+        vectors share. Keys only, not ``(key, count)`` items, to keep each
+        graph's footprint small; read-only, since the graph is shared.
+        """
+        counts = self.feature_counts
+        return sum(counts.values()), tuple(sorted(counts, key=counts.__getitem__, reverse=True))
 
     @cached_property
     def search_tables(self) -> ged.SearchTables:

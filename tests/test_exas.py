@@ -20,11 +20,13 @@ from gen import random_aug_pairs
 from helpers import aug
 from oracles import (
     enumerate_path_features,
+    full_feature_oracle,
     oracle_exas_l1,
     reference_dist_exas_cosine,
     reference_dist_exas_l1,
     reference_split_distance,
     sub_super,
+    union_dist_exas_l1,
 )
 
 SINGLE = aug("s", [("n", "A.m()", "action", "p.A")])
@@ -38,6 +40,15 @@ PAIR = aug(
 TWO_FEATURES = aug("v1", [("1", "X", "data", ""), ("2", "Z", "data", "")])
 ONE_FEATURE = aug("v2", [("1", "Y", "data", "")])
 DOUBLED_FEATURE = aug("v2x", [("1", "Y", "data", ""), ("2", "Y", "data", "")])
+
+
+def isolated(name, **counts):
+    """Isolated data nodes, ``counts[label]`` of each label: the exas vector
+    holds exactly one degree feature per label, at that count."""
+    nodes = [
+        (f"{label}{i}", label, "data", "") for label, count in counts.items() for i in range(count)
+    ]
+    return aug(name, nodes)
 
 
 def triangle():
@@ -164,6 +175,26 @@ class TestL1:
     def test_range(self):
         for a, b in random_aug_pairs(seed=79, count=40, max_nodes=5, max_edges=6):
             assert 0.0 <= dist_exas_l1(a, b) <= 1.0
+
+    # each expected value is (sum of |differences|) / (largest) / (union size)
+    @pytest.mark.parametrize(
+        "counts_a, counts_b, expected",
+        [
+            pytest.param({"X": 5, "Y": 1}, {"X": 1, "Z": 2}, 7 / 4 / 3, id="max-on-shared-key"),
+            # a's highest count is on the shared key X, so its largest
+            # unshared count sits further down its key order
+            pytest.param({"X": 5, "Y": 3}, {"X": 4, "Z": 1}, 5 / 3 / 3, id="max-only-in-a"),
+            pytest.param({"X": 2, "Y": 1}, {"X": 3, "Z": 4, "W": 1}, 7 / 4 / 4, id="max-only-in-b"),
+            pytest.param({"X": 3, "Y": 3}, {"X": 3, "Z": 1}, 4 / 3 / 3, id="tie-at-top-count"),
+            pytest.param({"X": 2, "Y": 1}, {"Z": 3}, 6 / 3 / 3, id="no-shared-key"),
+            pytest.param({"X": 2, "Y": 1}, {"X": 2, "Y": 1}, 0.0, id="identical"),
+        ],
+    )
+    def test_pinned_vectors(self, counts_a, counts_b, expected):
+        a, b = isolated("a", **counts_a), isolated("b", **counts_b)
+        assert dist_exas_l1(a, b) == expected
+        assert dist_exas_l1(b, a) == expected
+        assert union_dist_exas_l1(a, b) == expected
 
 
 class TestCosine:
@@ -321,10 +352,20 @@ def _all_distances(a, b):
     )
 
 
+class TestFeaturesMatchFullOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs("g"))
+    @example(MIXED)
+    @example(MIXED_OTHER)
+    def test_degree_and_path_features(self, graph):
+        assert extract_features(graph) == full_feature_oracle(graph)
+
+
 class TestMatchesPerPairReference:
     """Prepared vectors and splits give the per-pair code's values: cosine
     exactly, L1 up to the rounding of its terms, which the per-pair code
-    divided one by one before a float sum."""
+    divided one by one before a float sum. The shared-key L1 gives the
+    union loop's values exactly."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -345,9 +386,11 @@ class TestMatchesPerPairReference:
         ) == reference_split_distance(a, b, reference_cosine)
 
         l1 = dist_exas_l1(a, b)
+        assert l1 == union_dist_exas_l1(a, b)
         assert abs(l1 - reference_dist_exas_l1(a, b)) <= 1e-12
         assert abs(l1 - oracle_exas_l1(a, b)) <= 1e-12
         split_l1 = dist_exas_split(a, b, base="l1")
+        assert split_l1 == reference_split_distance(a, b, union_dist_exas_l1)
         assert abs(split_l1 - reference_split_distance(a, b, reference_dist_exas_l1)) <= 1e-12
         assert abs(split_l1 - reference_split_distance(a, b, oracle_exas_l1)) <= 1e-12
 
@@ -361,6 +404,22 @@ class TestPreparedGraphs:
         for package, part in MIXED.api_parts:
             assert part == parts[package]
             assert part.feature_counts == extract_features(parts[package])
+
+    @pytest.mark.parametrize("graph", [MIXED, MIXED_OTHER, triangle(), isolated("i", X=3, Y=3)])
+    def test_profile_is_the_total_and_the_keys_by_descending_count(self, graph):
+        counts = graph.feature_counts
+        total, order = graph.feature_profile
+        assert total == sum(counts.values())
+        assert sorted(order) == sorted(counts)
+        by_count = [counts[key] for key in order]
+        assert by_count == sorted(by_count, reverse=True)
+
+    def test_profile_is_read_only(self):
+        profile = MIXED.feature_profile
+        assert type(profile) is tuple and type(profile[1]) is tuple
+        assert all(type(key) is tuple for key in profile[1])
+        with pytest.raises(TypeError):
+            profile[1][0] = ("pq",)
 
     def test_each_graph_prepared_once_through_module_attributes(self, monkeypatch):
         calls = Counter()
@@ -383,15 +442,19 @@ class TestPreparedGraphs:
                 _all_distances(a, b)
         assert set(calls.values()) == {1}
         assert {name for kind, name in calls if kind == "split_by_api"} == {g.name for g in pool}
+        # the L1 distance read each profile, built from the one extraction
+        assert all("feature_profile" in vars(graph) for graph in pool)
 
     def test_pickled_prepared_graph_keeps_its_distances(self):
+        prepared = {"feature_counts", "feature_profile"}
         for a, b in random_aug_pairs(seed=101, count=30, max_nodes=6, max_edges=8):
-            a.feature_counts
+            a.feature_profile
             for _, part in a.api_parts:
-                part.feature_counts
+                part.feature_profile
             restored = pickle.loads(pickle.dumps(a))
-            assert {"feature_counts", "api_parts"} <= vars(restored).keys()
-            assert all("feature_counts" in vars(part) for _, part in restored.api_parts)
+            assert prepared | {"api_parts"} <= vars(restored).keys()
+            assert all(prepared <= vars(part).keys() for _, part in restored.api_parts)
+            assert restored.feature_profile == a.feature_profile
             fresh_a, fresh_b = _unprepared(a), _unprepared(b)
             assert _all_distances(restored, b) == _all_distances(fresh_a, fresh_b)
             assert _all_distances(b, restored) == _all_distances(fresh_b, fresh_a)
