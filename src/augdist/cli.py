@@ -86,7 +86,7 @@ class RunConfig:
 def _node_sim(config: RunConfig) -> DistanceFn:
     options = {"tol": config.tol, "max_iter": config.max_iter}
     dist = partial(node_similarity.dist_node_sim, **options)
-    dist.one_to_many = partial(node_similarity.dist_node_sim_many, **options)
+    dist.many_to_many = partial(node_similarity.dist_node_sim_many, **options)
     return dist
 
 
@@ -114,8 +114,9 @@ ALGORITHMS = tuple(_BINDERS)
 def build_distance(config: RunConfig) -> DistanceFn:
     """Bind the configured algorithm and its options to a two-graph callable.
 
-    The node-sim callable also carries its one-to-many form as
-    ``one_to_many``, which ``distance_table`` calls once per rule side.
+    The node-sim callable also carries its many-to-many form as
+    ``many_to_many``, which ``distance_table`` calls once per rule with both
+    rule sides as its references.
     """
     return _BINDERS[config.algorithm](config)
 

@@ -2,8 +2,8 @@
 
 Each rule is evaluated from one distance table: both rule sides against
 every corpus entry, each distance computed once per rule. A distance is
-timed on its own, unless its function has a one-to-many form: then each rule
-side is computed against all entries in one call, and each of its cells is
+timed on its own, unless its function has a many-to-many form: then both rule
+sides are computed against all entries in one call per rule, and each cell is
 timed as an even share of that call. The three reports are derived from that
 table. A rule is applicable when four strict inequalities between its mean
 distances hold; as a detector it flags an entry that lies strictly closer to
@@ -36,9 +36,9 @@ from .graphs import AUG, CorrectionRule
 logger = logging.getLogger(__name__)
 
 DistanceFn = Callable[[AUG, AUG], float]
-# The optional ``one_to_many`` attribute of a DistanceFn: the distances from
-# one graph to each of many, None where a pair is incomputable.
-OneToManyFn = Callable[[AUG, Sequence[AUG]], list[float | None]]
+# The optional ``many_to_many`` attribute of a DistanceFn: one row per
+# reference of its distances to each entry, None where a pair is incomputable.
+ManyToManyFn = Callable[[Sequence[AUG], Sequence[AUG]], list[list[float | None]]]
 
 # Errors that make a single distance computation incomputable without
 # invalidating the rest of the run.
@@ -146,9 +146,9 @@ def distance_table(
 ) -> DistanceTable:
     """Compute and time each rule side against each entry, once.
 
-    When ``dist`` has a one-to-many form (a ``one_to_many`` attribute, see
-    ``OneToManyFn``), each rule side is computed against all entries in one
-    call, and each cell's seconds are an even share of that call's time.
+    When ``dist`` has a many-to-many form (a ``many_to_many`` attribute, see
+    ``ManyToManyFn``), both rule sides are computed against all entries in
+    one call, and each cell's seconds are an even share of that call's time.
     Otherwise each cell is one timed ``dist`` call. The table's keys and
     values are the same either way.
     """
@@ -157,12 +157,12 @@ def distance_table(
     for graph in (rule.fix, rule.misuse, *entries):
         graph.require_non_empty()
     table: DistanceTable = {}
-    one_to_many: OneToManyFn | None = getattr(dist, "one_to_many", None)
-    if one_to_many is not None:
-        for side, reference in sides:
-            start = time.perf_counter()
-            values = one_to_many(reference, entries)
-            share = (time.perf_counter() - start) / max(len(entries), 1)
+    many_to_many: ManyToManyFn | None = getattr(dist, "many_to_many", None)
+    if many_to_many is not None:
+        start = time.perf_counter()
+        rows = many_to_many([reference for _, reference in sides], entries)
+        share = (time.perf_counter() - start) / max(2 * len(entries), 1)
+        for (side, _), values in zip(sides, rows, strict=True):
             for entry, value in zip(entries, values, strict=True):
                 if value is None:
                     logger.debug("%s/%s vs %r incomputable", rule.name, side, entry.name)

@@ -24,12 +24,19 @@ so the pair form, ``similarity_matrix``, is a batch of one. They are the
 dense products' iterates up to the order in which each entry's terms and
 each norm's squares are summed; ``tests/oracles.reference_similarity_matrix``
 keeps the dense form.
+
+The table form, ``dist_node_sim_many``, fills a grid of references against
+entries. The iteration reads only a graph's node count and edge positions,
+so graphs that differ only in labels get bit-identical matrices. The table
+form therefore groups both lists by that adjacency, iterates each distinct
+reference against the distinct entries once, solves each distinct pair's
+assignment once, and hands the value to every cell of the pair.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +150,15 @@ def _iterate(
     return results
 
 
+def _check_inputs(graphs: Iterable[AUG], tol: float, max_iter: int) -> None:
+    for graph in graphs:
+        graph.require_non_empty()
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 2 or max_iter % 2:
+        raise ValueError("max_iter must be an even number >= 2")
+
+
 def similarity_matrices(
     a: AUG,
     others: Sequence[AUG],
@@ -156,13 +172,7 @@ def similarity_matrices(
     stacked edge-pair entries (a pair with more is a batch of its own); a
     pair's result does not depend on its batch.
     """
-    a.require_non_empty()
-    for b in others:
-        b.require_non_empty()
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 2 or max_iter % 2:
-        raise ValueError("max_iter must be an even number >= 2")
+    _check_inputs((a, *others), tol, max_iter)
 
     # The operator M is nonnegative and symmetric and the start is positive,
     # so ``‖Mᵏ·1‖² = 1ᵀ·M²ᵏ·1`` keeps every iterate nonzero unless ``M = 0``,
@@ -213,10 +223,22 @@ def similarity_matrix(
     return matrix
 
 
-def _distance(a: AUG, b: AUG, matrix: SimilarityMatrix) -> float:
+def _assignment_distance(matrix: SimilarityMatrix) -> float:
+    """One minus the mean similarity of the best node pairing, in [0, 1]."""
     # imported here, so that only node-sim pays for loading scipy
     from scipy.optimize import linear_sum_assignment
 
+    rows, cols = linear_sum_assignment(matrix.entries, maximize=True)
+    mean = float(matrix.entries[rows, cols].mean())
+    return min(1.0, max(0.0, 1.0 - mean))
+
+
+def _distance(a: AUG, b: AUG, matrix: SimilarityMatrix, value: float) -> float:
+    """``value``, the distance solved from ``matrix`` for ``a`` and ``b``.
+
+    A capped matrix is logged and counted here, once per call, so once per
+    cell of a table whatever pairs share the matrix.
+    """
     if not matrix.converged:
         logger.debug(
             "similarity of %r vs %r stopped at %d iterations without converging",
@@ -225,9 +247,7 @@ def _distance(a: AUG, b: AUG, matrix: SimilarityMatrix) -> float:
             matrix.iterations_run,
         )
         fallbacks.note(fallbacks.CAPPED)
-    rows, cols = linear_sum_assignment(matrix.entries, maximize=True)
-    mean = float(matrix.entries[rows, cols].mean())
-    return min(1.0, max(0.0, 1.0 - mean))
+    return value
 
 
 def dist_node_sim(
@@ -241,18 +261,57 @@ def dist_node_sim(
     A matrix capped at ``max_iter`` before converging is used as it stands
     and counted as a ``fallbacks.CAPPED`` fallback.
     """
-    return _distance(a, b, similarity_matrix(a, b, tol, max_iter))
+    matrix = similarity_matrix(a, b, tol, max_iter)
+    return _distance(a, b, matrix, _assignment_distance(matrix))
+
+
+_AdjacencyKey = tuple[int, bytes, bytes]
+# A distinct pair's matrix and distance; None where its update collapses.
+_Solution = tuple[SimilarityMatrix, float] | None
+
+
+def _adjacency_key(graph: AUG) -> _AdjacencyKey:
+    """All that the iteration reads of a graph."""
+    sources, targets = graph.edge_positions
+    return graph.node_count, sources.tobytes(), targets.tobytes()
 
 
 def dist_node_sim_many(
-    a: AUG,
-    others: Sequence[AUG],
+    references: Sequence[AUG],
+    entries: Sequence[AUG],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> list[float | None]:
-    """``dist_node_sim(a, b)`` for each ``b`` of ``others``, computed in
-    batches; None where the pair is degenerate instead of raising."""
-    return [
-        None if matrix is None else _distance(a, b, matrix)
-        for b, matrix in zip(others, similarity_matrices(a, others, tol, max_iter))
-    ]
+) -> list[list[float | None]]:
+    """``dist_node_sim(reference, entry)`` for each reference (a row) and
+    each entry (a column); None where the pair is degenerate instead of
+    raising.
+
+    Each distinct adjacency among the references is iterated once, in
+    batches, against one entry per distinct adjacency, and each distinct
+    pair's assignment is solved once. Every cell whose pair's matrix is
+    capped counts as a capped fallback.
+    """
+    _check_inputs((*references, *entries), tol, max_iter)
+    entry_keys = [_adjacency_key(entry) for entry in entries]
+    distinct: dict[_AdjacencyKey, AUG] = {}
+    for key, entry in zip(entry_keys, entries):
+        distinct.setdefault(key, entry)
+    representatives = list(distinct.values())
+    solved: dict[_AdjacencyKey, dict[_AdjacencyKey, _Solution]] = {}
+    rows = []
+    for reference in references:
+        key = _adjacency_key(reference)
+        if key not in solved:
+            matrices = similarity_matrices(reference, representatives, tol, max_iter)
+            solved[key] = {
+                entry_key: None if matrix is None else (matrix, _assignment_distance(matrix))
+                for entry_key, matrix in zip(distinct, matrices)
+            }
+        solutions = [solved[key][entry_key] for entry_key in entry_keys]
+        rows.append(
+            [
+                None if solution is None else _distance(reference, entry, *solution)
+                for entry, solution in zip(entries, solutions)
+            ]
+        )
+    return rows

@@ -156,15 +156,15 @@ class TestRunConfig:
     def test_node_sim_one_to_many_is_looked_up_through_its_module(self, monkeypatch):
         calls = []
 
-        def counting(a, others, **options):
-            calls.append((a, list(others)))
-            return [0.25] * len(others)
+        def counting(references, entries, **options):
+            calls.append((list(references), list(entries)))
+            return [[0.25] * len(entries) for _ in references]
 
         monkeypatch.setattr(node_similarity, "dist_node_sim_many", counting)
         graph = parse_aug(SINGLE)
         dist = build_distance(RunConfig(algorithm="node-sim"))
-        assert dist.one_to_many(graph, [graph, graph]) == [0.25, 0.25]
-        assert calls == [(graph, [graph, graph])]
+        assert dist.many_to_many([graph], [graph, graph]) == [[0.25, 0.25]]
+        assert calls == [([graph], [graph, graph])]
 
     def test_every_algorithm_builds_a_callable(self):
         graph = parse_aug(SINGLE)

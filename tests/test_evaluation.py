@@ -342,7 +342,7 @@ class TestQuadrupleWithRealAlgorithms:
 
         edgeless_misuse = aug("bare", [("n", "A", "data", "")])
         degenerate_rule = rule("degenerate", edgeless_misuse, FIX)
-        # per pair, and in one batch per side through the CLI's callable
+        # per pair, and in one call per rule through the CLI's callable
         for dist in (dist_node_sim, build_distance(RunConfig("node-sim"))):
             table = distance_table(degenerate_rule, Dataset((FIX,), (MISUSE,)), dist)
             assert table[("misuse", "fixg")].value is None
@@ -351,23 +351,55 @@ class TestQuadrupleWithRealAlgorithms:
 
 
 class TestOneToManyTable:
-    """A distance with a one-to-many form fills the same table in one call
-    per rule side."""
+    """A distance with a many-to-many form fills the same table in one call
+    per rule."""
 
     DATASET = Dataset(
         (FIX, _renamed(MISUSE, "c1"), aug("lone", [("n", "A", "data", "")])),
         (MISUSE, _renamed(FIX, "m1")),
     )
+    # Entries and rule sides that share adjacencies under other labels: both
+    # sides of SHARED_RULE are one path, as are "p1" and "p2"; "c1" and "m1"
+    # are one graph, and the edgeless "lone2" is "lone" renamed.
+    PATH = aug(
+        "path",
+        [("a", "A", "action"), ("b", "B", "data"), ("c", "C", "action")],
+        [("a", "b", "def"), ("b", "c", "recv")],
+    )
+    SHARED_RULE = rule(
+        "shared",
+        PATH,
+        aug(
+            "path2",
+            [("a", "X", "data"), ("b", "Y", "action"), ("c", "Z", "data")],
+            [("a", "b", "order"), ("b", "c", "sel")],
+        ),
+    )
+    LONE = aug("lone", [("n", "A", "data", "")])
+    SHARED = Dataset(
+        (_renamed(PATH, "p1"), _renamed(FIX, "c1"), LONE),
+        (
+            aug(
+                "p2",
+                [("a", "Q", "data"), ("b", "R", "data"), ("c", "S", "data")],
+                [("a", "b", "def"), ("b", "c", "def")],
+            ),
+            _renamed(FIX, "m1"),
+            _renamed(LONE, "lone2"),
+        ),
+    )
 
     def test_same_cells_as_the_per_pair_path(self):
         batched = build_distance(RunConfig("node-sim"))
-        assert hasattr(batched, "one_to_many")
-        table = distance_table(RULE, self.DATASET, batched)
-        per_pair = distance_table(RULE, self.DATASET, lambda a, b: batched(a, b))
-        assert {key: cell.value for key, cell in table.items()} == {
-            key: cell.value for key, cell in per_pair.items()
-        }
-        assert table[("fix", "lone")].value is None
+        assert hasattr(batched, "many_to_many")
+        for checked_rule, dataset in ((RULE, self.DATASET), (self.SHARED_RULE, self.SHARED)):
+            table = distance_table(checked_rule, dataset, batched)
+            per_pair = distance_table(checked_rule, dataset, lambda a, b: batched(a, b))
+            assert {key: cell.value for key, cell in table.items()} == {
+                key: cell.value for key, cell in per_pair.items()
+            }
+            assert table[("fix", "lone")].value is None
+        assert table[("misuse", "lone2")].value is None
 
     def test_side_cells_share_the_batch_time(self):
         calls = []
@@ -375,17 +407,23 @@ class TestOneToManyTable:
         def dist(a, b):
             raise AssertionError("the per-pair form must not be called")
 
-        def one_to_many(reference, entries):
-            calls.append((reference.name, [entry.name for entry in entries]))
-            return [0.5] * len(entries)
+        def many_to_many(references, entries):
+            start = time.perf_counter()
+            calls.append(([a.name for a in references], [b.name for b in entries]))
+            time.sleep(0.1)
+            elapsed.append(time.perf_counter() - start)
+            return [[0.5] * len(entries) for _ in references]
 
-        dist.one_to_many = one_to_many
+        elapsed = []
+        dist.many_to_many = many_to_many
         table = distance_table(RULE, self.DATASET, dist)
         names = ["fixg", "c1", "lone", "misg", "m1"]
-        assert calls == [("fixg", names), ("misg", names)]
-        for side in ("fix", "misuse"):
-            (seconds,) = {table[(side, name)].seconds for name in names}
-            assert seconds >= 0.0
+        assert calls == [(["fixg", "misg"], names)]  # one call per rule
+        (seconds,) = {
+            table[(side, name)].seconds for side in ("fix", "misuse") for name in names
+        }
+        # each cell's even share of the call, which the harness times around it
+        assert elapsed[0] <= seconds * 2 * len(names) < 1.5 * elapsed[0]
         assert len(table) == 2 * len(names)
         rows = timing_rows(RULE, self.DATASET, table, "stub")
         per_pair_rows = _timing_rows(self.DATASET, lambda a, b: 0.5, "stub")

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from augdist import (
     DegenerateStructureError,
+    EmptyGraphError,
     dist_node_sim,
     similarity_matrix,
 )
@@ -196,7 +197,7 @@ class TestMatchesDenseReference:
 
 class TestOneToManyMatchesPerPair:
     """A pair's iterates do not depend on the batch it runs in, so the
-    one-to-many form gives the per-pair values bit for bit."""
+    table form gives the per-pair values bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -209,7 +210,7 @@ class TestOneToManyMatchesPerPair:
     def test_same_values_nones_and_caps(self, side, others, max_iter, cap):
         fallbacks.take()
         with mock.patch.object(node_similarity, "_MAX_STACKED_EDGE_PAIRS", cap):
-            values = dist_node_sim_many(side, others, max_iter=max_iter)
+            (values,) = dist_node_sim_many([side], others, max_iter=max_iter)
             matrices = similarity_matrices(side, others, max_iter=max_iter)
         batched_counts = fallbacks.take()
 
@@ -228,10 +229,100 @@ class TestOneToManyMatchesPerPair:
             assert np.array_equal(matrix.entries, single.entries)
 
     def test_no_entries(self):
-        assert dist_node_sim_many(SINGLE_EDGE_A, []) == []
+        assert dist_node_sim_many([SINGLE_EDGE_A], []) == [[]]
+        assert dist_node_sim_many([], [SINGLE_EDGE_A]) == []
+        assert dist_node_sim_many([], []) == []
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            dist_node_sim_many(SINGLE_EDGE_A, [SINGLE_EDGE_B], tol=math.nan)
+            dist_node_sim_many([SINGLE_EDGE_A], [SINGLE_EDGE_B], tol=math.nan)
         with pytest.raises(ValueError):
-            dist_node_sim_many(SINGLE_EDGE_A, [SINGLE_EDGE_B], max_iter=3)
+            dist_node_sim_many([SINGLE_EDGE_A], [SINGLE_EDGE_B], max_iter=3)
+        with pytest.raises(ValueError):
+            dist_node_sim_many([], [], max_iter=3)
+
+
+def _adjacency(graph: AUG):
+    sources, targets = graph.edge_positions
+    return graph.node_count, tuple(sources), tuple(targets)
+
+
+@st.composite
+def _look_alikes(draw, bases, name):
+    """A copy of one of ``bases`` with the same node ids and edges but its
+    own name, node labels, node types and edge labels."""
+    base = draw(st.sampled_from(bases))
+    words = st.sampled_from(["A", "B", "Q"])
+    types = st.sampled_from(["action", "data"])
+    nodes = tuple(Node(node.id, draw(words), draw(types)) for node in base.nodes)
+    edges = tuple(Edge(edge.source, edge.target, draw(words)) for edge in base.edges)
+    return AUG(name, nodes, edges)
+
+
+@st.composite
+def _shared_adjacency_tables(draw):
+    """References and entries that repeat a few adjacencies under other labels."""
+    bases = draw(st.lists(_graphs("base"), min_size=1, max_size=3))
+    references = draw(st.lists(_look_alikes(bases, "r"), max_size=4))
+    entries = draw(st.lists(_look_alikes(bases, "e"), max_size=6))
+    return references, entries
+
+
+# Adjacencies that differ only in edge targets, edge sources or node count.
+_NEAR_MISSES = [
+    aug(name, [(node, "L", "action") for node in nodes], [(source, target, "order")])
+    for name, nodes, source, target in (
+        ("to_b", "abc", "a", "b"),
+        ("to_c", "abc", "a", "c"),
+        ("from_b", "abc", "b", "c"),
+        ("padded", "abcd", "a", "b"),
+    )
+]
+_NEAR_MISS_COPIES = [AUG(f"{g.name}2", g.nodes, g.edges) for g in _NEAR_MISSES]
+
+
+class TestTableFormSharesAdjacencies:
+    """Graphs that differ only in labels share one iteration and one
+    assignment, and every cell still holds its per-pair value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_shared_adjacency_tables(), st.sampled_from([2, 6, 100]))
+    @example((_NEAR_MISSES + _NEAR_MISS_COPIES, _NEAR_MISS_COPIES + _NEAR_MISSES), 100)
+    def test_same_cells_as_per_pair_with_one_iteration_per_adjacency(self, lists, max_iter):
+        references, entries = lists
+        calls = []
+        iterate = node_similarity.similarity_matrices
+
+        def counting(a, others, *args):
+            calls.append((_adjacency(a), [_adjacency(b) for b in others]))
+            return iterate(a, others, *args)
+
+        fallbacks.take()
+        with mock.patch.object(node_similarity, "similarity_matrices", counting):
+            table = dist_node_sim_many(references, entries, max_iter=max_iter)
+        table_counts = fallbacks.take()
+
+        expected = [
+            [_outcome(dist_node_sim, a, b, max_iter) for b in entries] for a in references
+        ]
+        assert fallbacks.take() == table_counts
+        assert table == expected  # None in the same cells, equal floats elsewhere
+
+        reference_keys = [key for key, _ in calls]
+        assert sorted(reference_keys) == sorted({_adjacency(a) for a in references})
+        entry_keys = {_adjacency(b) for b in entries}
+        for _, others in calls:
+            assert len(others) == len(set(others))
+            assert set(others) == entry_keys
+
+    def test_input_checks_reach_every_graph(self):
+        # checked up front, so also in a table with no rows or no columns
+        empty = AUG("empty", (), ())
+        for references, entries in (
+            ([SINGLE_EDGE_A, empty], [SINGLE_EDGE_B]),
+            ([SINGLE_EDGE_A], [SINGLE_EDGE_B, empty]),
+            ([empty], []),
+            ([], [empty]),
+        ):
+            with pytest.raises(EmptyGraphError):
+                dist_node_sim_many(references, entries)
