@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import EmptyGraphError, SchemaError
 
 if TYPE_CHECKING:
-    from . import ged
+    from . import ged, node_similarity
 
 EMPTY_TYPE = "empty"
 UNKNOWN_API = "UNKNOWN"
@@ -131,21 +129,12 @@ class AUG:
         return classes, types
 
     @cached_property
-    def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source and target positions of the distinct ordered node pairs
-        joined by an edge, sorted, with nodes numbered as in
-        ``nodes_in_id_order``.
+    def edge_positions(self) -> node_similarity.EdgePositions:
+        """node-sim's edge arrays for this graph, built once per graph.
+        Read-only, since the graph is shared."""
+        from . import node_similarity  # node_similarity imports this module
 
-        The two arrays are read-only, since the graph is shared.
-        """
-        order = {node.id: i for i, node in enumerate(self.nodes_in_id_order)}
-        pairs = sorted(
-            (order[source], order[target]) for source, target in self.edge_label_counts
-        )
-        sources = np.array([source for source, _ in pairs], dtype=np.intp)
-        targets = np.array([target for _, target in pairs], dtype=np.intp)
-        sources.flags.writeable = targets.flags.writeable = False
-        return sources, targets
+        return node_similarity.edge_positions(self)
 
     @cached_property
     def feature_counts(self) -> dict[tuple, int]:

@@ -38,12 +38,16 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import fallbacks
 from .errors import DegenerateStructureError
 from .graphs import AUG
+
+# numpy and scipy are imported inside the functions that use them, so that
+# only node-sim pays for loading them
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +73,23 @@ class SimilarityMatrix:
     converged: bool
 
 
+EdgePositions = tuple["np.ndarray", "np.ndarray"]
+
+
+def edge_positions(graph: AUG) -> EdgePositions:
+    """Sorted source and target positions, in ``graph.nodes_in_id_order``, of
+    the distinct ordered node pairs joined by an edge; ``AUG.edge_positions``
+    caches them, read-only, since the graph is shared."""
+    import numpy as np
+
+    order = {node.id: i for i, node in enumerate(graph.nodes_in_id_order)}
+    pairs = sorted((order[source], order[target]) for source, target in graph.edge_label_counts)
+    sources = np.array([source for source, _ in pairs], dtype=np.intp)
+    targets = np.array([target for _, target in pairs], dtype=np.intp)
+    sources.flags.writeable = targets.flags.writeable = False
+    return sources, targets
+
+
 def _edge_pair_operator(
     a: AUG, sources_b: np.ndarray, targets_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,6 +101,8 @@ def _edge_pair_operator(
     and the backward term ``Bᵀ S A`` adds ``S[x, y]`` into ``[p, q]``. A
     step is then ``bincount(into, weights=S.ravel()[from_])``.
     """
+    import numpy as np
+
     sources_a, targets_a = a.edge_positions
     width = a.node_count
     forward_into = (sources_b[:, None] * width + sources_a).ravel()
@@ -99,6 +122,8 @@ def _iterate(
     blocks below move up over their rows and the operator is rebuilt from
     the remaining ``b`` edges.
     """
+    import numpy as np
+
     width = a.node_count
     heights = np.array([b.node_count for b in batch])
     edge_counts = np.array([len(b.edge_positions[0]) for b in batch])
@@ -155,7 +180,7 @@ def _check_inputs(graphs: Iterable[AUG], tol: float, max_iter: int) -> None:
         graph.require_non_empty()
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 2 or max_iter % 2:
+    if not isinstance(max_iter, int) or max_iter < 2 or max_iter % 2:
         raise ValueError("max_iter must be an even number >= 2")
 
 
@@ -225,7 +250,6 @@ def similarity_matrix(
 
 def _assignment_distance(matrix: SimilarityMatrix) -> float:
     """One minus the mean similarity of the best node pairing, in [0, 1]."""
-    # imported here, so that only node-sim pays for loading scipy
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(matrix.entries, maximize=True)

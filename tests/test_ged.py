@@ -40,6 +40,7 @@ from oracles import (
     brute_force_ged,
     brute_force_node_ged,
     max_identical_matching,
+    milp_ged,
     reference_hungarian_assignment,
     reference_match_with_ops,
 )
@@ -238,6 +239,32 @@ class TestLargerSearches:
         deadline = time.monotonic() + 2.0
         for a, b in pairs:
             assert ged_astar(a, b, timeout=deadline - time.monotonic()).complete
+
+
+class TestSearchMatchesMilpOracle:
+    """Past the reference search's reach, complete searches cost what the
+    exact binary program gives, which is itself checked against enumeration
+    on small pairs. Both models are integer-valued, so the sums compare
+    exactly."""
+
+    def test_oracle_matches_brute_force(self):
+        for a, b in random_aug_pairs(seed=11, count=30, max_nodes=3, max_edges=4):
+            for cm in (default_cost_model(), mcs_cost_model()):
+                assert milp_ged(a, b, cm) == brute_force_ged(a, b, cm)
+
+    @pytest.mark.parametrize(
+        "cm, sizes",
+        [
+            (default_cost_model(), {"min_nodes": 8, "max_nodes": 9, "min_edges": 6, "max_edges": 14}),
+            (mcs_cost_model(), {"min_nodes": 12, "max_nodes": 12, "min_edges": 10, "max_edges": 20}),
+        ],
+        ids=["default-8-9-nodes", "mcs-12-nodes"],
+    )
+    def test_complete_searches_cost_the_optimum(self, cm, sizes):
+        for a, b in random_aug_pairs(seed=5, count=4, **sizes):
+            result = ged_astar(a, b, cm, timeout=30.0)
+            assert result.complete
+            assert result.cost == milp_ged(a, b, cm)
 
 
 class TestHungarian:

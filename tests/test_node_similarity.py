@@ -75,6 +75,8 @@ class TestSimilarityMatrix:
             similarity_matrix(SINGLE_EDGE_A, SINGLE_EDGE_B, max_iter=3)
         with pytest.raises(ValueError):
             similarity_matrix(SINGLE_EDGE_A, SINGLE_EDGE_B, max_iter=0)
+        with pytest.raises(ValueError):
+            similarity_matrix(SINGLE_EDGE_A, SINGLE_EDGE_B, max_iter=4.0)
 
 
 class TestDistance:
@@ -240,6 +242,8 @@ class TestOneToManyMatchesPerPair:
             dist_node_sim_many([SINGLE_EDGE_A], [SINGLE_EDGE_B], max_iter=3)
         with pytest.raises(ValueError):
             dist_node_sim_many([], [], max_iter=3)
+        with pytest.raises(ValueError):
+            dist_node_sim_many([SINGLE_EDGE_A], [SINGLE_EDGE_B], max_iter=4.0)
 
 
 def _adjacency(graph: AUG):

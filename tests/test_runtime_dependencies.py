@@ -1,9 +1,12 @@
-"""The package imports nothing beyond the standard library, numpy and scipy,
-loads scipy only when node-sim needs its assignment solver, and no module
-imports a leading-underscore name from another module of the package.
+"""The package imports nothing beyond the standard library, numpy and scipy;
+only ``node_similarity`` imports numpy or scipy, and loads them only when
+node-sim runs; and no module imports a leading-underscore name from another
+module of the package.
 
-The first and the last are checked statically, from each module's syntax
-tree, so no module is imported; the second in a fresh interpreter.
+The imports are checked statically, from each module's syntax tree, so no
+module is imported. What is loaded is checked in fresh interpreters: importing
+``augdist`` or ``augdist.cli`` loads neither numpy nor scipy, and neither does
+an ``evaluate`` of the bundled corpus with any algorithm but node-sim.
 """
 
 import ast
@@ -13,7 +16,9 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "augdist"
-ALLOWED = sys.stdlib_module_names | {"numpy", "scipy"}
+CORPUS = Path(__file__).resolve().parent / "data" / "corpus"
+NUMERIC = {"numpy", "scipy"}
+ALLOWED = sys.stdlib_module_names | NUMERIC
 
 
 def _imports(source: str) -> list[ast.Import | ast.ImportFrom]:
@@ -92,14 +97,44 @@ def test_package_imports_only_stdlib_numpy_and_scipy():
     assert not outside, sorted(outside)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_only_node_similarity_imports_numpy_or_scipy():
+    importers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _absolute_imports(path.read_text(encoding="utf-8")) & NUMERIC
+    }
+    assert importers == {"node_similarity.py"}
+
+
+def _numeric_modules_loaded_after(code: str) -> list[str]:
+    """Which of numpy and scipy a fresh interpreter has loaded after ``code``."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    report = f"print(sorted(sys.modules.keys() & {NUMERIC!r}), file=sys.stderr)"
     probe = subprocess.run(
-        [sys.executable, "-c", "import sys, augdist.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys\n{code}\n{report}"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
-        timeout=60,
+        timeout=120,
     )
-    assert probe.stdout.strip() == "False"
+    return ast.literal_eval(probe.stderr.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    for module in ("augdist", "augdist.cli"):
+        assert _numeric_modules_loaded_after(f"import {module}") == [], module
+
+
+def test_evaluate_without_node_sim_leaves_numpy_unloaded(tmp_path):
+    from augdist.cli import ALGORITHMS
+
+    algorithms = [algorithm for algorithm in ALGORITHMS if algorithm != "node-sim"]
+    assert len(algorithms) == 7
+    runs = [
+        ["evaluate", str(CORPUS / "rules"), str(CORPUS), "-a", algorithm, "-o", str(tmp_path / algorithm)]
+        for algorithm in algorithms
+    ]
+    code = f"from augdist.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0, argv"
+    assert _numeric_modules_loaded_after(code) == []
+    assert all((tmp_path / algorithm / "applicability.csv").is_file() for algorithm in algorithms)
