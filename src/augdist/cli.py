@@ -18,15 +18,10 @@ from typing import Callable
 
 from . import exas, fallbacks, ged, mcs, node_similarity
 from .dot import parse_aug
-from .errors import (
-    CorpusLayoutError,
-    DotSyntaxError,
-    EmptyGraphError,
-    InsufficientDataError,
-    SchemaError,
-)
+from .errors import CorpusLayoutError, EmptyGraphError, InsufficientDataError
 from .evaluation import (
     INCOMPUTABLE,
+    READ_ERRORS,
     ApplicabilityVerdict,
     Dataset,
     DetectionReport,
@@ -43,7 +38,6 @@ from .evaluation import (
     write_detection_csv,
     write_timing_csv,
 )
-from .exas import COSINE_MODES
 from .graphs import AUG, CorrectionRule
 
 logger = logging.getLogger(__name__)
@@ -69,16 +63,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.cosine_mode not in COSINE_MODES:
-            raise ValueError(f"unknown cosine mode {self.cosine_mode!r}")
         if not self.timeout > 0:
             raise ValueError("timeout must be positive")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must be within [0, 1]")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 2 or self.max_iter % 2:
-            raise ValueError("max-iter must be an even number >= 2")
+        exas.check_cosine_options(self.lam, self.cosine_mode)
+        node_similarity.check_options(self.tol, self.max_iter)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -144,7 +132,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cosine-mode",
-        choices=COSINE_MODES,
+        choices=exas.COSINE_MODES,
         default=RunConfig.cosine_mode,
         help="corrected keeps identical graphs at distance 0 (default %(default)s)",
     )
@@ -182,7 +170,7 @@ def _read_graph(path: Path) -> AUG | None:
     """The graph in a DOT file, or None once the reason it is unreadable is printed."""
     try:
         return parse_aug(Path(path).read_text(encoding="utf-8"))
-    except (OSError, DotSyntaxError, SchemaError, ValueError) as exc:
+    except READ_ERRORS as exc:
         print(f"error: cannot read graph from {path}: {exc}", file=sys.stderr)
         return None
 
@@ -266,9 +254,9 @@ def cmd_evaluate(
         return EXIT_PARSE
 
     fallbacks.take()  # count this run's fallbacks only
-    if config.workers > 1 and len(rules) > 1:
+    if (workers := min(config.workers, len(rules))) > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.workers,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(config, dataset),
         ) as pool:

@@ -34,16 +34,22 @@ _PART_MISUSE = "misuse"
 _PART_FIX = "fix"
 _TRANSFORM = "transform"
 
+# Token patterns both readers share: a string's body, an id word, a negative numeral.
+_STRING_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
+_WORD_CHAR = r"[A-Za-z0-9_.]"
+_WORD = rf"{_WORD_CHAR}+"
+_NUMERAL = r"-(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)"
+
 # One match per token: a prefix of whitespace and comments, then the token.
 # Groups: 1 string (quotes included), 2 id or negative numeral,
 # 3 punctuation, 4 any other character, which is a syntax error. After the
 # prefix, end of input or some character always matches, so the prefix never
 # gives characters back (an input ending in "// c" stays a comment).
 _SCANNER = re.compile(
-    r"""(?:\s+|\#[^\n]*|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*
-    (?:("[^"\\]*(?:\\.[^"\\]*)*")
-      |([A-Za-z0-9_.]+|-(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?))
-      |(->|[{}\[\]=,;])
+    rf"""(?:\s+|\#[^\n]*|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*
+    (?:("{_STRING_BODY}")
+      |({_WORD}|{_NUMERAL})
+      |(->|[{{}}\[\]=,;])
       |\Z
       |(.))""",
     re.VERBOSE | re.DOTALL,
@@ -64,13 +70,13 @@ def _unescape(body: str) -> str:
 # "digraph" and "ſ" for the "s" of "subgraph", which the scanner rejects.
 # Possessive quantifiers and atomic groups would do the look-aheads' job but
 # need Python 3.11.
-_STRING_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
-_ID = r"(?:[A-Za-z0-9_.]+(?![A-Za-z0-9_.])|-(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?![0-9.]))"
+_WORD_END = rf"(?!{_WORD_CHAR})"
+_ID = rf"(?:{_WORD}{_WORD_END}|{_NUMERAL}(?![0-9.]))"
 _NAME = rf'(?:"{_STRING_BODY}"|{_ID})'
 _NAME_GROUPS = rf'(?:"({_STRING_BODY})"|({_ID}))'  # a string's body, or an id
 _ATTRS = rf"[\s,;]*(?:{_NAME}\s*=\s*{_NAME}[\s,;]*)*"
 
-_HEAD = re.compile(rf"\s*(?ai:digraph)(?![A-Za-z0-9_.])\s*(?:{_NAME_GROUPS}\s*)?\{{", re.DOTALL)
+_HEAD = re.compile(rf"\s*(?ai:digraph){_WORD_END}\s*(?:{_NAME_GROUPS}\s*)?\{{", re.DOTALL)
 # One match per statement, separated by whitespace only. Comments are left
 # to the token walk: a gap that also skips them made the reader much slower,
 # and without possessive quantifiers a "#" comment could end before its line
@@ -81,8 +87,8 @@ _HEAD = re.compile(rf"\s*(?ai:digraph)(?![A-Za-z0-9_.])\s*(?:{_NAME_GROUPS}\s*)?
 # in the last match only.
 _STATEMENT = re.compile(
     rf"""\s*(?:
-      (?:((?ai:graph|node|edge))(?![A-Za-z0-9_.])(?=\s*\[)
-      | (?!(?ai:subgraph)(?![A-Za-z0-9_.]))
+      (?:((?ai:graph|node|edge)){_WORD_END}(?=\s*\[)
+      | (?!(?ai:subgraph){_WORD_END})
         {_NAME_GROUPS}
         (?:\s*(->)\s*{_NAME_GROUPS}((?:\s*->\s*{_NAME})*))?
       )

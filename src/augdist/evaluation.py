@@ -43,6 +43,8 @@ ManyToManyFn = Callable[[Sequence[AUG], Sequence[AUG]], list[list[float | None]]
 # Errors that make a single distance computation incomputable without
 # invalidating the rest of the run.
 INCOMPUTABLE = (DegenerateStructureError, GedTimeoutError)
+# Errors that make one input file unreadable, so that its reader skips or reports it.
+READ_ERRORS = (OSError, AugDistError, ValueError)
 
 LABEL_CORRECT = "correct"
 LABEL_MISUSE = "misuse"
@@ -299,7 +301,7 @@ def load_corpus(corpus_dir: Path) -> Dataset:
             path = corpus_dir / f"{name}.dot"
             try:
                 graph = parse_aug(path.read_text(encoding="utf-8"))
-            except (OSError, AugDistError, ValueError) as exc:
+            except READ_ERRORS as exc:
                 logger.warning("skipping corpus entry %r: %s", name, exc)
                 continue
             if graph.is_empty:
@@ -323,7 +325,7 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
     for path in sorted(rules_dir.glob("*.dot")):
         try:
             rule = parse_rule(path.read_text(encoding="utf-8"))
-        except (OSError, AugDistError, ValueError) as exc:
+        except READ_ERRORS as exc:
             logger.warning("skipping rule file %s: %s", path.name, exc)
             continue
         if not rule.name:

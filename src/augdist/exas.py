@@ -79,9 +79,10 @@ def extract_features(graph: AUG) -> FeatureVector:
     return counts
 
 
-def _check_cosine_options(lam: float, mode: str) -> None:
+def check_cosine_options(lam: float, mode: str) -> None:
+    """Raise ValueError unless ``lam`` is within [0, 1] and ``mode`` is a cosine mode."""
     if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must be within [0, 1]")
+        raise ValueError("lambda must be within [0, 1]")
     if mode not in COSINE_MODES:
         raise ValueError(f"unknown cosine mode {mode!r}")
 
@@ -172,7 +173,7 @@ def dist_exas_cosine(
     """
     a.require_non_empty()
     b.require_non_empty()
-    _check_cosine_options(lam, mode)
+    check_cosine_options(lam, mode)
     return _cosine(a.feature_counts, b.feature_counts, lam, mode)
 
 
@@ -210,7 +211,7 @@ def dist_exas_split(
     b.require_non_empty()
     if base not in SPLIT_BASES:
         raise ValueError(f"unknown base distance {base!r}")
-    _check_cosine_options(lam, mode)
+    check_cosine_options(lam, mode)
     if base == "l1":
         return split_distance(a, b, dist_exas_l1)
     return split_distance(

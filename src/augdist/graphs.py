@@ -194,33 +194,20 @@ class CorrectionRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", tuple(self.mapping))
-        misuse_seen: set[str] = set()
-        fix_seen: set[str] = set()
+        sides = (("misuse", self.misuse, set()), ("fix", self.fix, set()))
         for misuse_id, fix_id in self.mapping:
             if misuse_id is None and fix_id is None:
                 raise SchemaError(f"rule {self.name!r}: mapping pair with two empty sides")
-            if misuse_id is not None:
-                if misuse_id not in self.misuse.nodes_by_id:
+            for node_id, (side, graph, seen) in zip((misuse_id, fix_id), sides):
+                if node_id is None:
+                    continue
+                if node_id not in graph.nodes_by_id:
                     raise SchemaError(
-                        f"rule {self.name!r}: mapping references unknown misuse "
-                        f"node {misuse_id!r}"
+                        f"rule {self.name!r}: mapping references unknown {side} node {node_id!r}"
                     )
-                if misuse_id in misuse_seen:
-                    raise SchemaError(
-                        f"rule {self.name!r}: misuse node {misuse_id!r} mapped twice"
-                    )
-                misuse_seen.add(misuse_id)
-            if fix_id is not None:
-                if fix_id not in self.fix.nodes_by_id:
-                    raise SchemaError(
-                        f"rule {self.name!r}: mapping references unknown fix "
-                        f"node {fix_id!r}"
-                    )
-                if fix_id in fix_seen:
-                    raise SchemaError(
-                        f"rule {self.name!r}: fix node {fix_id!r} mapped twice"
-                    )
-                fix_seen.add(fix_id)
+                if node_id in seen:
+                    raise SchemaError(f"rule {self.name!r}: {side} node {node_id!r} mapped twice")
+                seen.add(node_id)
 
 
 def package_of(node: Node) -> str:

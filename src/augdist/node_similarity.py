@@ -175,13 +175,18 @@ def _iterate(
     return results
 
 
-def _check_inputs(graphs: Iterable[AUG], tol: float, max_iter: int) -> None:
-    for graph in graphs:
-        graph.require_non_empty()
+def check_options(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless ``tol`` is positive and ``max_iter`` an even int >= 2."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not isinstance(max_iter, int) or max_iter < 2 or max_iter % 2:
-        raise ValueError("max_iter must be an even number >= 2")
+        raise ValueError("max-iter must be an even number >= 2")
+
+
+def _check_inputs(graphs: Iterable[AUG], tol: float, max_iter: int) -> None:
+    for graph in graphs:
+        graph.require_non_empty()
+    check_options(tol, max_iter)
 
 
 def similarity_matrices(

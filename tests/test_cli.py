@@ -1,4 +1,5 @@
 import csv
+import math
 import random
 import shutil
 from pathlib import Path
@@ -97,11 +98,32 @@ class TestRunConfig:
             {"max_iter": 7},
             {"max_iter": 0},
             {"workers": 0},
+            {"max_iter": 4.0},
         ],
     )
     def test_rejects_out_of_domain_options(self, overrides):
         with pytest.raises(ValueError):
             RunConfig(algorithm="node-sim", **overrides)
+
+    @pytest.mark.parametrize(
+        ("config_option", "distance", "library_option"),
+        [
+            ({"lam": 1.5}, exas.dist_exas_cosine, {"lam": 1.5}),
+            ({"cosine_mode": "fancy"}, exas.dist_exas_cosine, {"mode": "fancy"}),
+            ({"tol": math.nan}, node_similarity.dist_node_sim, {"tol": math.nan}),
+            ({"max_iter": 3}, node_similarity.dist_node_sim, {"max_iter": 3}),
+        ],
+        ids=["lam", "cosine_mode", "tol", "max_iter"],
+    )
+    def test_config_and_library_word_a_bad_option_alike(
+        self, config_option, distance, library_option
+    ):
+        with pytest.raises(ValueError) as from_config:
+            RunConfig(algorithm="node-sim", **config_option)
+        graph = parse_aug(SINGLE)
+        with pytest.raises(ValueError) as from_library:
+            distance(graph, graph, **library_option)
+        assert str(from_config.value) == str(from_library.value)
 
     def test_bad_option_exits_2_from_cli(self, tmp_path, capsys):
         a = _write(tmp_path, "a.dot", SINGLE)
@@ -153,7 +175,7 @@ class TestRunConfig:
         assert dist(graph, graph) == 0.25
         assert calls == [(graph, graph)]
 
-    def test_node_sim_one_to_many_is_looked_up_through_its_module(self, monkeypatch):
+    def test_node_sim_many_to_many_is_looked_up_through_its_module(self, monkeypatch):
         calls = []
 
         def counting(references, entries, **options):
@@ -304,6 +326,36 @@ class TestCmdEvaluate:
         parallel = self._run(tmp_path, algorithm, extra=("--workers", "2"))
         for name in ("applicability.csv", "detection.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (parallel / name).read_bytes()
+
+    def test_pool_has_at_most_one_worker_per_rule(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool size asked for and runs the work in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        # the initializer sets these; restore them after the test
+        monkeypatch.setattr(cli, "_WORKER_CONFIG", None)
+        monkeypatch.setattr(cli, "_WORKER_DATASET", None)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        serial = self._run(tmp_path, "exas-l1")
+        shutil.move(serial, tmp_path / "serial")
+        pooled = self._run(tmp_path, "exas-l1", extra=("--workers", "8"))
+        assert sizes == [2]  # the bundled corpus has two rules
+        for name in ("applicability.csv", "detection.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == (pooled / name).read_bytes()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_clamped_values_summarized_in_one_warning(self, tmp_path, capsys, caplog, workers):

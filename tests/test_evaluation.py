@@ -350,7 +350,7 @@ class TestQuadrupleWithRealAlgorithms:
             assert table[("fix", "misg")].value is not None
 
 
-class TestOneToManyTable:
+class TestManyToManyTable:
     """A distance with a many-to-many form fills the same table in one call
     per rule."""
 

@@ -30,17 +30,30 @@ class TestModelInvariants:
         assert g.edge_count == 2
         assert g.edge_label_counts[("n1", "n2")]["order"] == 2
 
-    def test_rule_mapping_duplicate_side_rejected(self):
-        misuse = aug("m", [("a", "A", "data", "")])
-        fix = aug("f", [("x", "A", "data", ""), ("y", "B", "data", "")])
-        with pytest.raises(SchemaError, match="mapped twice"):
-            rule("r", misuse, fix, [("a", "x"), ("a", "y")])
+    UNKNOWN_MISUSE = "mapping references unknown misuse node 'q'"
+    UNKNOWN_FIX = "mapping references unknown fix node 'q'"
+    MISUSE_TWICE = "misuse node 'a' mapped twice"
 
-    def test_rule_mapping_two_empty_sides_rejected(self):
-        misuse = aug("m", [("a", "A", "data", "")])
-        fix = aug("f", [("x", "A", "data", "")])
-        with pytest.raises(SchemaError, match="two empty sides"):
-            rule("r", misuse, fix, [(None, None)])
+    @pytest.mark.parametrize(
+        ("mapping", "message"),
+        [
+            pytest.param([(None, None)], "mapping pair with two empty sides", id="two-empty-sides"),
+            pytest.param([("q", "x")], UNKNOWN_MISUSE, id="unknown-misuse"),
+            pytest.param([("a", "q")], UNKNOWN_FIX, id="unknown-fix"),
+            pytest.param([("a", "x"), ("a", "y")], MISUSE_TWICE, id="misuse-twice"),
+            pytest.param([("a", "x"), (None, "x")], "fix node 'x' mapped twice", id="fix-twice"),
+            pytest.param([("a", None), ["b", "q"]], UNKNOWN_FIX, id="list-pair"),
+            # the misuse side of a pair is checked before its fix side
+            pytest.param([("q", "q")], UNKNOWN_MISUSE, id="misuse-first"),
+            pytest.param([("a", "x"), ("a", "q")], MISUSE_TWICE, id="twice-first"),
+        ],
+    )
+    def test_rule_mapping_rejected(self, mapping, message):
+        misuse = aug("m", [("a", "A", "data", ""), ("b", "B", "data", "")])
+        fix = aug("f", [("x", "A", "data", ""), ("y", "B", "data", "")])
+        with pytest.raises(SchemaError) as excinfo:
+            rule("r", misuse, fix, mapping)
+        assert str(excinfo.value) == f"rule 'r': {message}"
 
 
 class TestPackageOf:

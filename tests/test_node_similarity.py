@@ -197,7 +197,7 @@ class TestMatchesDenseReference:
         assert abs(dist_node_sim(a, b, max_iter=max_iter) - expected_distance) <= 1e-12
 
 
-class TestOneToManyMatchesPerPair:
+class TestManyToManyMatchesPerPair:
     """A pair's iterates do not depend on the batch it runs in, so the
     table form gives the per-pair values bit for bit."""
 
