@@ -67,8 +67,8 @@ class RunConfig:
             raise ValueError("timeout must be positive")
         exas.check_cosine_options(self.lam, self.cosine_mode)
         node_similarity.check_options(self.tol, self.max_iter)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ValueError("workers must be an integer >= 1")
 
 
 def _node_sim(config: RunConfig) -> DistanceFn:

@@ -48,7 +48,8 @@ class Node:
 
 @dataclass(frozen=True)
 class Edge:
-    """A directed edge instance; parallel edges are distinct instances."""
+    """A directed edge; parallel edges are separate entries of ``AUG.edges``,
+    which may hold one shared instance more than once."""
 
     source: str
     target: str

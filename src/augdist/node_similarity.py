@@ -83,7 +83,7 @@ def edge_positions(graph: AUG) -> EdgePositions:
     import numpy as np
 
     order = {node.id: i for i, node in enumerate(graph.nodes_in_id_order)}
-    pairs = sorted((order[source], order[target]) for source, target in graph.edge_label_counts)
+    pairs = sorted({(order[edge.source], order[edge.target]) for edge in graph.edges})
     sources = np.array([source for source, _ in pairs], dtype=np.intp)
     targets = np.array([target for _, target in pairs], dtype=np.intp)
     sources.flags.writeable = targets.flags.writeable = False

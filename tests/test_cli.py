@@ -98,6 +98,7 @@ class TestRunConfig:
             {"max_iter": 7},
             {"max_iter": 0},
             {"workers": 0},
+            {"workers": 2.0},
             {"max_iter": 4.0},
         ],
     )

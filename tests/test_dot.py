@@ -442,3 +442,26 @@ class TestStatementReaderCoverage:
     def test_statement_forms(self, text):
         # _walk calls this module's _Parser, which the fixture leaves alone
         assert _graph_or_message(_digraph, text) == _graph_or_message(_walk, text)
+
+
+class TestSharedReads:
+    """Equal attribute lists, nodes and edges are read once per process and
+    shared, so no parse may change what another parse was given."""
+
+    def test_redeclared_node_leaves_the_shared_attributes_alone(self):
+        first = parse_aug('digraph { a [label="x", type="data"]; a [api="p.Q"]; }')
+        second = parse_aug('digraph { b [label="x", type="data"]; }')
+        assert first.nodes == (Node("a", "x", "data", "p.Q"),)
+        assert second.nodes == (Node("b", "x", "data", ""),)
+
+    def test_equal_texts_share_nodes_and_edges(self):
+        first, second = parse_aug(FIG_STYLE_GRAPH), parse_aug(FIG_STYLE_GRAPH)
+        assert first == second
+        assert all(x is y for x, y in zip(first.nodes, second.nodes, strict=True))
+        assert all(x is y for x, y in zip(first.edges, second.edges, strict=True))
+
+    def test_every_cache_is_bounded(self):
+        caches = {name: f for name, f in vars(dot).items() if hasattr(f, "cache_info")}
+        assert {"_attributes", "_node", "_edge"} <= caches.keys()
+        for name, cached in caches.items():
+            assert cached.cache_info().maxsize is not None, name
