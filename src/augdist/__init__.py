@@ -32,13 +32,10 @@ from .exas import (
 )
 from .ged import (
     CostModel,
-    EditOp,
-    EditPath,
     GedResult,
     default_cost_model,
     dist_ged_astar,
     dist_ged_hungarian,
-    edit_path,
     ged_astar,
     ged_hungarian,
     hungarian_assignment,
@@ -61,8 +58,6 @@ __all__ = [
     "DetectionReport",
     "DotSyntaxError",
     "Edge",
-    "EditOp",
-    "EditPath",
     "EmptyGraphError",
     "GedResult",
     "GedTimeoutError",
@@ -80,7 +75,6 @@ __all__ = [
     "dist_mcs_hungarian",
     "dist_node_sim",
     "distance_table",
-    "edit_path",
     "extract_features",
     "ged_astar",
     "ged_hungarian",

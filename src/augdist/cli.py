@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError("timeout must be positive")
         exas.check_cosine_options(self.lam, self.cosine_mode)
         node_similarity.check_options(self.tol, self.max_iter)
+        if not isinstance(self.exclude_self, bool):
+            raise ValueError("exclude_self must be True or False")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError("workers must be an integer >= 1")
 

@@ -24,7 +24,6 @@ import functools
 import logging
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -107,21 +106,6 @@ class GedResult(NamedTuple):
     # best node mapping found: (source node id, target node id), either side
     # None for a deletion/insertion
     mapping: tuple[tuple[str | None, str | None], ...]
-
-
-class EditOp(NamedTuple):
-    op: str  # node-sub / node-del / node-ins / edge-sub / edge-del / edge-ins
-    source: tuple | None
-    target: tuple | None
-    cost: float
-
-
-@dataclass(frozen=True)
-class EditPath:
-    """Explicit edit operations realizing a node mapping, with total cost."""
-
-    ops: tuple[EditOp, ...]
-    total_cost: float
 
 
 class _DeadlineHit(Exception):
@@ -531,7 +515,8 @@ def _pair_edge_cost(cm: CostModel, ta: tuple[str, ...], tb: tuple[str, ...]) -> 
         return cm.edge_delete * len(ta)
     if ta == tb:
         return 0.0
-    return _assign_edges(ta, tb, cm)[0]
+    keys_a, keys_b = [(x,) for x in ta], [(y,) for y in tb]
+    return _assign(keys_a, keys_b, (cm.edge_relabel, 0.0), cm.edge_delete, cm.edge_insert)[0]
 
 
 def ged_astar(
@@ -647,14 +632,6 @@ def _assign(
     return cost, pairs
 
 
-def _assign_edges(
-    labels_a: Sequence[str], labels_b: Sequence[str], cm: CostModel
-) -> tuple[float, list[tuple[int, int]]]:
-    """Cheapest edit of one node pair's edge-label multiset into another's."""
-    keys_a, keys_b = [(x,) for x in labels_a], [(y,) for y in labels_b]
-    return _assign(keys_a, keys_b, (cm.edge_relabel, 0.0), cm.edge_delete, cm.edge_insert)
-
-
 def hungarian_assignment(
     a: AUG, b: AUG, cost_model: CostModel | None = None
 ) -> tuple[float, list[tuple[str, str]]]:
@@ -712,67 +689,3 @@ def dist_ged_hungarian(a: AUG, b: AUG, cost_model: CostModel | None = None) -> f
     cost = ged_hungarian(a, b, cm)
     value = cost / (max(a.node_count, b.node_count) * cm.mcost_n)
     return _clamp_unit(value, "normalized assignment distance")
-
-
-def edit_path(a: AUG, b: AUG, result: GedResult, cost_model: CostModel | None = None) -> EditPath:
-    """Expand a search result's node mapping into explicit edit operations.
-
-    Node operations come first, in the mapping's order. Edge operations
-    follow, one node pair at a time: each source pair in sorted order
-    against its image under the mapping, then each target pair no source
-    pair met, in sorted order. Within a pair, each source label in sorted
-    order is substituted or deleted, then the unmatched target labels are
-    inserted in sorted order. The listed costs sum to the mapping's total
-    edit cost.
-    """
-    cm = cost_model or default_cost_model()
-    image: dict[str, str | None] = {}
-    ops: list[EditOp] = []
-    for source_id, target_id in result.mapping:
-        if source_id is not None:
-            image[source_id] = target_id
-        if source_id is None:
-            ops.append(EditOp("node-ins", None, (target_id,), cm.node_insert))
-        elif target_id is None:
-            ops.append(EditOp("node-del", (source_id,), None, cm.node_delete))
-        else:
-            cost = cm.node_substitute(a.nodes_by_id[source_id], b.nodes_by_id[target_id])
-            ops.append(EditOp("node-sub", (source_id,), (target_id,), cost))
-
-    # A pair with a deleted endpoint meets no target pair: its edges are all
-    # deleted, as an unmet target pair's are all inserted.
-    unmet_b = dict(b.edge_label_counts)
-    for (u, v), counts in sorted(a.edge_label_counts.items()):
-        target_pair = (image.get(u), image.get(v))
-        target_counts = unmet_b.pop(target_pair, Counter())
-        ops.extend(_edge_pair_ops(cm, (u, v), counts, target_pair, target_counts))
-    for pair, counts in sorted(unmet_b.items()):
-        ops.extend(_edge_pair_ops(cm, pair, Counter(), pair, counts))
-    total = sum(op.cost for op in ops)
-    return EditPath(tuple(ops), total)
-
-
-def _edge_pair_ops(
-    cm: CostModel,
-    source_pair: tuple[str, str],
-    counts_a: Counter[str],
-    target_pair: tuple[str, str],
-    counts_b: Counter[str],
-) -> list[EditOp]:
-    labels_a = sorted(counts_a.elements())
-    labels_b = sorted(counts_b.elements())
-    image = dict(_assign_edges(labels_a, labels_b, cm)[1])
-    ops: list[EditOp] = []
-    for i, la in enumerate(labels_a):
-        source = (*source_pair, la)
-        if i in image:
-            lb = labels_b[image[i]]
-            target = (*target_pair, lb)
-            ops.append(EditOp("edge-sub", source, target, cm.edge_substitute(la, lb)))
-        else:
-            ops.append(EditOp("edge-del", source, None, cm.edge_delete))
-    matched = set(image.values())
-    for k, lb in enumerate(labels_b):
-        if k not in matched:
-            ops.append(EditOp("edge-ins", None, (*target_pair, lb), cm.edge_insert))
-    return ops

@@ -100,6 +100,7 @@ class TestRunConfig:
             {"workers": 0},
             {"workers": 2.0},
             {"max_iter": 4.0},
+            {"exclude_self": "no"},
         ],
     )
     def test_rejects_out_of_domain_options(self, overrides):

@@ -13,20 +13,17 @@ from augdist import (
     AUG,
     CostModel,
     EmptyGraphError,
-    GedResult,
     GedTimeoutError,
     Node,
     default_cost_model,
     dist_ged_astar,
     dist_ged_hungarian,
-    edit_path,
     ged_astar,
     ged_hungarian,
     hungarian_assignment,
 )
 from augdist.ged import (
     _assign,
-    _assign_edges,
     _MappingSearch,
     _pair_edge_cost,
     normalization_denominator,
@@ -39,6 +36,7 @@ from oracles import (
     ReferenceMappingSearch,
     brute_force_ged,
     brute_force_node_ged,
+    mapping_cost,
     max_identical_matching,
     milp_ged,
     reference_hungarian_assignment,
@@ -106,7 +104,7 @@ class TestAstarExamples:
         g2 = random_aug(random.Random(8), "g2", max_nodes=30, min_nodes=30, max_edges=60)
         cm = default_cost_model()
         seed_mapping = _node_pairing_as_mapping(g1, g2, cm)
-        seed_cost = edit_path(g1, g2, GedResult(0.0, False, seed_mapping), cm).total_cost
+        seed_cost = mapping_cost(g1, g2, cm, _source_images(seed_mapping))
         result = ged_astar(g1, g2, cm, timeout=0.5)
         assert not result.complete
         assert result.cost <= seed_cost
@@ -119,7 +117,6 @@ class TestAstarExamples:
         result = ged_astar(a, b, timeout=0.5)
         assert result.complete
         assert result.cost == 16.0
-        assert edit_path(a, b, result).total_cost == 16.0
 
     def test_nan_timeout_rejected(self):
         # with a NaN deadline the search would never stop on this pair
@@ -185,13 +182,21 @@ def _counted_search(search_class, a, b, cm):
     return search.run(), search.expansions
 
 
+def _source_images(mapping):
+    """Each source node's image, ``None`` for a deleted node."""
+    return {source: target for source, target in mapping if source is not None}
+
+
 def _assert_valid_mapping(a, b, result, cm):
-    """Each node of either graph appears once, and the edit path costs what the result says."""
+    """Each node of either graph appears once, and the mapping costs what the
+    result says, priced by ``oracles.mapping_cost``, which matches edge labels
+    exhaustively and shares no code with the search. Callers pass
+    integer-valued models, so the sums compare exactly."""
     sources = sorted(source for source, _ in result.mapping if source is not None)
     targets = sorted(target for _, target in result.mapping if target is not None)
     assert sources == sorted(node.id for node in a.nodes)
     assert targets == sorted(node.id for node in b.nodes)
-    assert edit_path(a, b, result, cm).total_cost == result.cost
+    assert mapping_cost(a, b, cm, _source_images(result.mapping)) == result.cost
 
 
 class TestSearchMatchesReference:
@@ -466,9 +471,11 @@ class TestEdgeMatchingMatchesReference:
         for name, cm in models:
             exact = name in ("default", "mcs")
             expected, _ = reference_match_with_ops(cm, tuple(labels_a), tuple(labels_b))
-            cost, pairs = _assign_edges(labels_a, labels_b, cm)
+            cost = _pair_edge_cost(cm, tuple(labels_a), tuple(labels_b))
             assert cost == (expected if exact else pytest.approx(expected, abs=1e-9))
-            assert _pair_edge_cost(cm, tuple(labels_a), tuple(labels_b)) == cost
+            keys_a, keys_b = [(x,) for x in labels_a], [(y,) for y in labels_b]
+            costs = (cm.edge_relabel, 0.0)
+            pairs = _assign(keys_a, keys_b, costs, cm.edge_delete, cm.edge_insert)[1]
 
             sources = [i for i, _ in pairs]
             targets = [k for _, k in pairs]
@@ -522,7 +529,7 @@ class TestNodeBoundIsTheAssignment:
 class _StateChecked(_MappingSearch):
     """A search that checks its running counts against a from-scratch count
     of the undecided and unused nodes and the uncharged target edges at
-    every ``_bound`` call, and its edge bound against ``_assign_edges`` per
+    every ``_bound`` call, and its edge bound against ``_pair_edge_cost`` per
     block of the uncharged edges."""
 
     def __init__(self, a, b, cm, deadline):
@@ -568,14 +575,14 @@ class _StateChecked(_MappingSearch):
 
         bound = super()._bound(depth)
         per_block = sum(
-            _assign_edges(sorted(blocks_a[key]), sorted(blocks_b[key]), self.cm)[0]
+            _pair_edge_cost(self.cm, tuple(sorted(blocks_a[key])), tuple(sorted(blocks_b[key])))
             for key in blocks_a.keys() | blocks_b.keys()
         )
-        pooled = _assign_edges(
-            sorted(x for labels in blocks_a.values() for x in labels),
-            sorted(x for labels in blocks_b.values() for x in labels),
+        pooled = _pair_edge_cost(
             self.cm,
-        )[0]
+            tuple(sorted(x for labels in blocks_a.values() for x in labels)),
+            tuple(sorted(x for labels in blocks_b.values() for x in labels)),
+        )
         assert bound - self._node_bound(depth) == per_block >= pooled
         self.calls += 1
         return bound
@@ -623,7 +630,8 @@ class TestAnyEdgeRelabelIsExact:
         result = ged_astar(a, b, cm, timeout=60.0)
         assert result.complete
         assert result.cost == pytest.approx(brute_force_ged(a, b, cm), abs=1e-9), f"{a} vs {b}"
-        assert edit_path(a, b, result, cm).total_cost == pytest.approx(result.cost, abs=1e-9)
+        witness = mapping_cost(a, b, cm, _source_images(result.mapping))
+        assert witness == pytest.approx(result.cost, abs=1e-9)
 
     def test_fixed_models_match_brute_force(self):
         for a, b in random_aug_pairs(seed=131, count=150, max_nodes=4, max_edges=8):
@@ -764,34 +772,7 @@ class TestRangeInvariants:
             assert 0.0 <= dist_ged_hungarian(a, b) <= 1.0
 
 
-def _apply_edit_path(a: AUG, path) -> tuple[set, Counter]:
-    """Replay edit operations; returns the produced node set and edge multiset."""
-    produced_nodes = set()
-    produced_edges: Counter = Counter()
-    consumed_nodes = set()
-    consumed_edges: Counter = Counter()
-    for op in path.ops:
-        if op.op == "node-sub":
-            consumed_nodes.add(op.source[0])
-            produced_nodes.add(op.target[0])
-        elif op.op == "node-del":
-            consumed_nodes.add(op.source[0])
-        elif op.op == "node-ins":
-            produced_nodes.add(op.target[0])
-        elif op.op == "edge-sub":
-            consumed_edges[op.source] += 1
-            produced_edges[op.target] += 1
-        elif op.op == "edge-del":
-            consumed_edges[op.source] += 1
-        elif op.op == "edge-ins":
-            produced_edges[op.target] += 1
-    # the path must consume exactly the source graph
-    assert consumed_nodes == {n.id for n in a.nodes}
-    assert consumed_edges == Counter((e.source, e.target, e.label) for e in a.edges)
-    return produced_nodes, produced_edges
-
-
-def _edit_path_pairs(seed: int, count: int) -> list[tuple[AUG, AUG]]:
+def _witness_pairs(seed: int, count: int) -> list[tuple[AUG, AUG]]:
     """Sparse pairs of up to 4 nodes, then pairs of up to 2 with parallel edges."""
     return random_aug_pairs(seed, count, max_nodes=4, max_edges=4) + random_aug_pairs(
         seed + 1000, count, max_nodes=2, max_edges=8
@@ -799,48 +780,24 @@ def _edit_path_pairs(seed: int, count: int) -> list[tuple[AUG, AUG]]:
 
 
 class TestEditPath:
-    def test_operation_order(self):
-        # y's image q has no edge back to p, z is deleted and r inserted
-        a = aug(
-            "a",
-            [("x", "A.m()", "action"), ("y", "A", "data"), ("z", "B.m()", "action")],
-            [("x", "y", "recv"), ("x", "y", "para"), ("z", "x", "order")],
-        )
-        b = aug(
-            "b",
-            [("p", "A.m()", "action"), ("q", "A", "data"), ("r", "C.m()", "action")],
-            [("p", "q", "recv"), ("p", "q", "def"), ("r", "p", "order"), ("q", "p", "order")],
-        )
-        mapping = (("x", "p"), ("y", "q"), ("z", None), (None, "r"))
-        path = edit_path(a, b, GedResult(7.0, True, mapping), mcs_cost_model())
-        assert [tuple(op) for op in path.ops] == [
-            ("node-sub", ("x",), ("p",), 0.0),
-            ("node-sub", ("y",), ("q",), 0.0),
-            ("node-del", ("z",), None, 1.0),
-            ("node-ins", None, ("r",), 1.0),
-            ("edge-del", ("x", "y", "para"), None, 1.0),
-            ("edge-sub", ("x", "y", "recv"), ("p", "q", "recv"), 0.0),
-            ("edge-ins", None, ("p", "q", "def"), 1.0),
-            ("edge-del", ("z", "x", "order"), None, 1.0),
-            ("edge-ins", None, ("q", "p", "order"), 1.0),
-            ("edge-ins", None, ("r", "p", "order"), 1.0),
-        ]
-        assert path.total_cost == 7.0
+    """The edit path a complete search's mapping induces (each node
+    substituted, deleted or inserted once, the edges of each node pair
+    matched) turns the source into the target and costs the search's
+    result, sparse and parallel edges alike, under both integer-valued
+    models."""
 
-    def test_total_cost_matches_search_cost(self):
-        for a, b in _edit_path_pairs(seed=31, count=40):
+    def _check(self, seed: int, count: int) -> None:
+        for a, b in _witness_pairs(seed, count):
             for cm in (default_cost_model(), mcs_cost_model()):
                 result = ged_astar(a, b, cm, timeout=60.0)
-                path = edit_path(a, b, result, cm)
-                assert path.total_cost == pytest.approx(result.cost)
+                assert result.complete
+                _assert_valid_mapping(a, b, result, cm)
+
+    def test_total_cost_matches_search_cost(self):
+        self._check(seed=31, count=40)
 
     def test_applying_operations_yields_target_graph(self):
-        for a, b in _edit_path_pairs(seed=37, count=30):
-            result = ged_astar(a, b, timeout=60.0)
-            path = edit_path(a, b, result)
-            nodes, edges = _apply_edit_path(a, path)
-            assert nodes == {n.id for n in b.nodes}
-            assert edges == Counter((e.source, e.target, e.label) for e in b.edges)
+        self._check(seed=37, count=30)
 
 
 class TestNormalization:
