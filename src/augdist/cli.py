@@ -150,22 +150,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         default=RunConfig.max_iter,
         help="iteration cap of the node-similarity iteration, even (default %(default)d)",
     )
-    parser.add_argument(
-        "--exclude-self",
-        action=argparse.BooleanOptionalAction,
-        default=RunConfig.exclude_self,
-        help="drop the corpus entry sharing a rule's name from that rule's check",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=RunConfig.workers,
-        help="process count for evaluating rules in parallel (default %(default)d)",
-    )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
+    """The run options the subcommand has flags for; ``RunConfig``'s defaults fill the rest."""
+    names = (field.name for field in fields(RunConfig))
+    return RunConfig(**{name: getattr(args, name) for name in names if hasattr(args, name)})
 
 
 def _read_graph(path: Path) -> AUG | None:
@@ -244,6 +234,11 @@ def evaluate_rule(rule: CorrectionRule, dataset: Dataset, config: RunConfig) -> 
     return verdict, report, timings
 
 
+def _write_failed(exc: OSError) -> int:
+    print(f"error: cannot write reports: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def cmd_evaluate(
     rules_dir: Path, corpus_dir: Path, config: RunConfig, out_dir: Path
 ) -> int:
@@ -254,6 +249,11 @@ def cmd_evaluate(
     except CorpusLayoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _write_failed(exc)
 
     fallbacks.take()  # count this run's fallbacks only
     if (workers := min(config.workers, len(rules))) > 1:
@@ -275,11 +275,12 @@ def cmd_evaluate(
     reports = [report for _, report, _ in results if report is not None]
     timings = [row for _, _, rows in results for row in rows]
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_applicability_csv(out_dir / "applicability.csv", verdicts)
-    write_detection_csv(out_dir / "detection.csv", reports)
-    write_timing_csv(out_dir / "timing.csv", timings)
+    try:
+        write_applicability_csv(out_dir / "applicability.csv", verdicts)
+        write_detection_csv(out_dir / "detection.csv", reports)
+        write_timing_csv(out_dir / "timing.csv", timings)
+    except OSError as exc:
+        return _write_failed(exc)
 
     for algo, (mean, median) in timing_summary(timings).items():
         print(f"timing {algo}: mean {mean:.6f}s median {median:.6f}s")
@@ -323,6 +324,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", "-o", type=Path, default=Path("."), help="report output directory"
     )
     _add_config_flags(eval_parser)
+    eval_parser.add_argument(
+        "--exclude-self",
+        action=argparse.BooleanOptionalAction,
+        default=RunConfig.exclude_self,
+        help="drop the corpus entry sharing a rule's name from that rule's check",
+    )
+    eval_parser.add_argument(
+        "--workers",
+        type=int,
+        default=RunConfig.workers,
+        help="process count for evaluating rules in parallel (default %(default)d)",
+    )
 
     features_parser = sub.add_parser(
         "features", help="dump a graph's feature vector for debugging"

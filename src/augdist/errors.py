@@ -18,7 +18,8 @@ class EmptyGraphError(AugDistError):
 
 
 class GedTimeoutError(AugDistError):
-    """Edit search hit its deadline before it started, so it has no complete edit path."""
+    """Edit search without a complete edit path in time. Nothing in the
+    package raises it: the exact search holds a complete path from its start."""
 
 
 class DegenerateStructureError(AugDistError):

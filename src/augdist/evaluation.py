@@ -28,7 +28,6 @@ from .errors import (
     AugDistError,
     CorpusLayoutError,
     DegenerateStructureError,
-    GedTimeoutError,
     InsufficientDataError,
 )
 from .graphs import AUG, CorrectionRule
@@ -42,7 +41,7 @@ ManyToManyFn = Callable[[Sequence[AUG], Sequence[AUG]], list[list[float | None]]
 
 # Errors that make a single distance computation incomputable without
 # invalidating the rest of the run.
-INCOMPUTABLE = (DegenerateStructureError, GedTimeoutError)
+INCOMPUTABLE = (DegenerateStructureError,)
 # Errors that make one input file unreadable, so that its reader skips or reports it.
 READ_ERRORS = (OSError, AugDistError, ValueError)
 
@@ -278,38 +277,43 @@ def load_corpus(corpus_dir: Path) -> Dataset:
     """Read entries listed in ``labels.csv`` from a directory of DOT files.
 
     Entries that fail to parse, violate the schema, or are empty are skipped
-    with a warning so one broken file cannot sink a whole run.
+    with a warning so one broken file cannot sink a whole run. A manifest
+    that is missing or cannot be read raises ``CorpusLayoutError``.
     """
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "labels.csv"
     if not manifest.is_file():
         raise CorpusLayoutError(f"missing manifest {manifest}")
+    try:
+        with manifest.open(newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            columns, rows = reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CorpusLayoutError(f"cannot read {manifest}: {exc}") from exc
+    if columns is None or set(columns) != {"name", "label"}:
+        raise CorpusLayoutError(
+            f"{manifest} must have exactly the columns 'name' and 'label'"
+        )
     correct: list[AUG] = []
     misuse: list[AUG] = []
-    with manifest.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"name", "label"}:
+    for row in rows:
+        name, label = row["name"], row["label"]
+        if label not in (LABEL_CORRECT, LABEL_MISUSE):
             raise CorpusLayoutError(
-                f"{manifest} must have exactly the columns 'name' and 'label'"
+                f"{manifest}: entry {name!r} has unknown label {label!r}"
             )
-        for row in reader:
-            name, label = row["name"], row["label"]
-            if label not in (LABEL_CORRECT, LABEL_MISUSE):
-                raise CorpusLayoutError(
-                    f"{manifest}: entry {name!r} has unknown label {label!r}"
-                )
-            path = corpus_dir / f"{name}.dot"
-            try:
-                graph = parse_aug(path.read_text(encoding="utf-8"))
-            except READ_ERRORS as exc:
-                logger.warning("skipping corpus entry %r: %s", name, exc)
-                continue
-            if graph.is_empty:
-                logger.warning("skipping corpus entry %r: graph has no nodes", name)
-                continue
-            if graph.name != name:
-                graph = AUG(name, graph.nodes, graph.edges)
-            (correct if label == LABEL_CORRECT else misuse).append(graph)
+        path = corpus_dir / f"{name}.dot"
+        try:
+            graph = parse_aug(path.read_text(encoding="utf-8"))
+        except READ_ERRORS as exc:
+            logger.warning("skipping corpus entry %r: %s", name, exc)
+            continue
+        if graph.is_empty:
+            logger.warning("skipping corpus entry %r: graph has no nodes", name)
+            continue
+        if graph.name != name:
+            graph = AUG(name, graph.nodes, graph.edges)
+        (correct if label == LABEL_CORRECT else misuse).append(graph)
     try:
         return Dataset(tuple(correct), tuple(misuse))
     except ValueError as exc:

@@ -1,12 +1,11 @@
 """Counts of distance values settled by a fallback instead of computed.
 
 A distance that clamps its value to 1.0, stops the similarity iteration at
-its cap, gives up an exact search whose deadline passed before it started,
-or stops an exact search at its deadline and uses the best edit path found,
-logs the pair at DEBUG and adds one to that cause's count here. The CLI
-takes the counts once per unit of work and logs each nonzero count once, in
-its cause's wording from ``CAUSES``: the summary for a run, the warning for
-a single call.
+its cap, or stops an exact search at its deadline and uses the best edit
+path found, logs the pair at DEBUG and adds one to that cause's count here.
+The CLI takes the counts once per unit of work and logs each nonzero count
+once, in its cause's wording from ``CAUSES``: the summary for a run, the
+warning for a single call.
 """
 
 from __future__ import annotations
@@ -26,15 +25,11 @@ CAUSES = (
         "similarity iteration stopped at max-iter without converging",
     ),
     Cause(
-        "%d exact searches found no complete edit path in time; distance set to 1.0",
-        "no complete edit path within the timeout; distance set to 1.0",
-    ),
-    Cause(
         "%d exact searches stopped at the deadline; best edit path found used",
         "exact search stopped at the deadline; best edit path found used",
     ),
 )
-CLAMPED, CAPPED, TIMED_OUT, STOPPED = range(len(CAUSES))
+CLAMPED, CAPPED, STOPPED = range(len(CAUSES))
 
 # The count of each cause, in the order of CAUSES.
 Counts = tuple[int, ...]

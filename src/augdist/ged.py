@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from . import fallbacks
-from .errors import GedTimeoutError
 from .graphs import AUG, Node
 
 logger = logging.getLogger(__name__)
@@ -145,18 +144,19 @@ def search_tables(graph: AUG) -> SearchTables:
     nodes = graph.nodes_in_id_order
     size = len(nodes)
     index = {node.id: i for i, node in enumerate(nodes)}
+    arcs = tuple(sorted(
+        ((index[edge.source], index[edge.target], edge.label) for edge in graph.edges),
+        key=lambda arc: arc[2],
+    ))
+    # arcs come in label order, so each pair's labels are gathered sorted
     rows: list[list[tuple[str, ...]]] = [[()] * size for _ in nodes]
-    for (source, target), counts in graph.edge_label_counts.items():
-        rows[index[source]][index[target]] = tuple(sorted(counts.elements()))
+    for i, j, x in arcs:
+        rows[i][j] += (x,)
     edges = tuple(map(tuple, rows))
     keys = tuple((node.node_type, node.label) for node in nodes)
     earlier = tuple(
         tuple(j for j in range(i) if edges[i][j] or edges[j][i]) for i in range(size)
     )
-    arcs = tuple(sorted(
-        ((index[edge.source], index[edge.target], edge.label) for edge in graph.edges),
-        key=lambda arc: arc[2],
-    ))
     outs: list[list[tuple[int, str]]] = [[] for _ in nodes]
     ins: list[list[tuple[int, str]]] = [[] for _ in nodes]
     for i, j, x in arcs:
@@ -317,10 +317,6 @@ class _MappingSearch:
         self.best_assign: list[int] | None = None
 
     def run(self) -> GedResult:
-        if time.monotonic() > self.deadline:
-            raise GedTimeoutError(
-                "deadline passed before any complete edit path was found"
-            )
         self._seed()
         try:
             self._dfs(0, 0.0)
@@ -530,8 +526,8 @@ def ged_astar(
     When the search finishes, the cost is the exact minimum under the model;
     when the deadline fires first, the best complete edit path found so far
     is returned with ``complete=False``. The search holds a complete path
-    from its start, so ``GedTimeoutError`` is raised only if the deadline
-    passes before the search starts. A NaN ``timeout`` raises
+    from its start, the class-greedy seed, so a deadline that has passed
+    before the first expansion returns that path. A NaN ``timeout`` raises
     ``ValueError``, since no deadline would ever pass.
     """
     a.require_non_empty()
@@ -566,24 +562,11 @@ def dist_ged_astar(
     """Edit cost normalized by the maximum-cost denominator, in [0, 1].
 
     A search stopped at the deadline gives the cost of the best edit path it
-    found, counted as a ``fallbacks.STOPPED`` fallback. ``ged_astar`` raises
-    ``GedTimeoutError`` only if the deadline passes before the search
-    starts; that yields the pessimistic 1.0, counted as
-    ``fallbacks.TIMED_OUT``. A NaN ``timeout`` raises ``ValueError``, as in
-    ``ged_astar``.
+    found, counted as a ``fallbacks.STOPPED`` fallback. A NaN ``timeout``
+    raises ``ValueError``, as in ``ged_astar``.
     """
     cm = cost_model or default_cost_model()
-    try:
-        result = ged_astar(a, b, cm, timeout)
-    except GedTimeoutError:
-        logger.debug(
-            "no complete edit path for %r vs %r within %.3fs; distance set to 1.0",
-            a.name,
-            b.name,
-            timeout,
-        )
-        fallbacks.note(fallbacks.TIMED_OUT)
-        return 1.0
+    result = ged_astar(a, b, cm, timeout)
     if not result.complete:
         logger.debug(
             "search for %r vs %r stopped at its %.3fs deadline; best edit path found used",

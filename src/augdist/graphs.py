@@ -10,7 +10,6 @@ across workers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -99,14 +98,6 @@ class AUG:
     @cached_property
     def nodes_by_id(self) -> dict[str, Node]:
         return {node.id: node for node in self.nodes}
-
-    @cached_property
-    def edge_label_counts(self) -> dict[tuple[str, str], Counter[str]]:
-        """Multiset of edge labels per ordered node pair."""
-        counts: dict[tuple[str, str], Counter[str]] = {}
-        for edge in self.edges:
-            counts.setdefault((edge.source, edge.target), Counter())[edge.label] += 1
-        return counts
 
     @cached_property
     def nodes_in_id_order(self) -> tuple[Node, ...]:

@@ -377,8 +377,8 @@ def best_assignment_mean(matrix) -> float:
 def _binary_adjacency(graph: AUG) -> np.ndarray:
     order = {node.id: i for i, node in enumerate(sorted(graph.nodes, key=lambda n: n.id))}
     matrix = np.zeros((len(order), len(order)))
-    for source, target in graph.edge_label_counts:
-        matrix[order[source], order[target]] = 1.0
+    for edge in graph.edges:
+        matrix[order[edge.source], order[edge.target]] = 1.0
     return matrix
 
 
@@ -725,8 +725,9 @@ class ReferenceMappingSearch:
         graph: AUG, index: dict[str, int]
     ) -> dict[tuple[int, int], Counter[str]]:
         adjacency: dict[tuple[int, int], Counter[str]] = {}
-        for (source, target), counts in graph.edge_label_counts.items():
-            adjacency[(index[source], index[target])] = counts
+        for edge in graph.edges:
+            pair = (index[edge.source], index[edge.target])
+            adjacency.setdefault(pair, Counter())[edge.label] += 1
         return adjacency
 
     @staticmethod

@@ -230,23 +230,32 @@ class TestCmdDist:
         assert main(["dist", str(a), str(b), "-a", "node-sim"]) == EXIT_INCOMPUTABLE
         assert "incomputable" in capsys.readouterr().err
 
-    def test_search_timeout_warns_once(self, tmp_path, capsys, caplog):
-        a = _write(tmp_path, "a.dot", SINGLE)
-        b = _write(tmp_path, "b.dot", RELABELED)
-        assert main(["dist", str(a), str(b), "-a", "astar-ged", "--timeout", "1e-9"]) == 0
-        assert capsys.readouterr().out.strip() == "1.000000"
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings == ["no complete edit path within the timeout; distance set to 1.0"]
-
-    def test_stopped_search_warns_once(self, tmp_path, capsys, caplog):
-        rng = random.Random(1)
-        a = _write(tmp_path, "a.dot", serialize_aug(_one_class_graph(rng, "a")))
-        b = _write(tmp_path, "b.dot", serialize_aug(_one_class_graph(rng, "b")))
-        assert main(["dist", str(a), str(b), "-a", "astar-ged", "--timeout", "0.2"]) == 0
+    # A nanosecond deadline has passed before the first expansion, so the
+    # search returns its seed, here the bundled pair's optimum; 0.2 s stops
+    # a search between two one-class graphs midway.
+    @pytest.mark.parametrize("timeout", ["1e-9", "0.2"])
+    def test_stopped_search_warns_once(self, tmp_path, capsys, caplog, timeout):
+        if timeout == "1e-9":
+            a, b = CORPUS / "c1.dot", CORPUS / "m1.dot"
+        else:
+            rng = random.Random(1)
+            a = _write(tmp_path, "a.dot", serialize_aug(_one_class_graph(rng, "a")))
+            b = _write(tmp_path, "b.dot", serialize_aug(_one_class_graph(rng, "b")))
+        assert main(["dist", str(a), str(b), "-a", "astar-ged", "--timeout", timeout]) == 0
         out = capsys.readouterr().out
         assert 0.0 < float(out) <= 1.0 and out == f"{float(out):.6f}\n"
+        if timeout == "1e-9":
+            assert out == "0.300000\n"
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["exact search stopped at the deadline; best edit path found used"]
+
+    def test_evaluate_only_flags_rejected(self, tmp_path, capsys):
+        a = _write(tmp_path, "a.dot", SINGLE)
+        for flag in (["--workers", "2"], ["--no-exclude-self"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["dist", str(a), str(a), "-a", "exas-l1", *flag])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 
@@ -368,7 +377,7 @@ class TestCmdEvaluate:
 
     # Each option makes every one of the 32 (rule side, entry) pairs fall back:
     # two iterations never pass the even-step check, and a nanosecond deadline
-    # has passed before the first expansion.
+    # has passed before the first expansion, so each search returns its seed.
     @pytest.mark.parametrize(
         "algorithm, option, summary",
         [
@@ -380,7 +389,7 @@ class TestCmdEvaluate:
             (
                 "astar-ged",
                 ("--timeout", "1e-9"),
-                "32 exact searches found no complete edit path in time; distance set to 1.0",
+                "32 exact searches stopped at the deadline; best edit path found used",
             ),
         ],
         ids=["node-sim", "astar-ged"],
@@ -475,6 +484,39 @@ class TestCmdEvaluate:
         )
         assert code == EXIT_PARSE
         assert "duplicate" in capsys.readouterr().err
+
+    def test_manifest_not_utf8_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS, corpus)
+        manifest = corpus / "labels.csv"
+        manifest.write_bytes(manifest.read_bytes() + b"\xff,correct\n")
+        code = main(
+            ["evaluate", str(corpus / "rules"), str(corpus), "-a", "exas-l1", "-o", str(tmp_path / "o")]
+        )
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {manifest}: ") and err.count("\n") == 1
+
+    def test_output_path_taken_by_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        out = _write(tmp_path, "out", "")
+
+        def no_distances(*args):
+            raise AssertionError("distances computed before the output directory was made")
+
+        monkeypatch.setattr(cli, "distance_table", no_distances)
+        code = main(["evaluate", str(CORPUS / "rules"), str(CORPUS), "-a", "exas-l1", "-o", str(out)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write reports: ") and err.count("\n") == 1
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "detection.csv").mkdir(parents=True)
+        code = main(["evaluate", str(CORPUS / "rules"), str(CORPUS), "-a", "exas-l1", "-o", str(out)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write reports: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_degenerate_rule_shrinks_checked_count(self, tmp_path, capsys):
         # a rule whose misuse part has no edges cannot be checked with the

@@ -13,7 +13,6 @@ from augdist import (
     AUG,
     CostModel,
     EmptyGraphError,
-    GedTimeoutError,
     Node,
     default_cost_model,
     dist_ged_astar,
@@ -22,6 +21,7 @@ from augdist import (
     ged_hungarian,
     hungarian_assignment,
 )
+from augdist import fallbacks
 from augdist.ged import (
     _assign,
     _MappingSearch,
@@ -93,11 +93,14 @@ class TestAstarExamples:
         with pytest.raises(EmptyGraphError):
             ged_astar(AUG("e", (), ()), ONE_ACTION)
 
-    def test_timeout_with_no_complete_path_raises(self):
+    def test_passed_deadline_returns_the_seed(self):
         g1 = random_aug(random.Random(7), "g1", max_nodes=30, min_nodes=30, max_edges=60)
         g2 = random_aug(random.Random(8), "g2", max_nodes=30, min_nodes=30, max_edges=60)
-        with pytest.raises(GedTimeoutError):
-            ged_astar(g1, g2, timeout=0.0)
+        cm = default_cost_model()
+        result = ged_astar(g1, g2, cm, timeout=0.0)
+        assert not result.complete
+        assert result.mapping == _node_pairing_as_mapping(g1, g2, cm)
+        assert result.cost == mapping_cost(g1, g2, cm, _source_images(result.mapping))
 
     def test_deadline_mid_search_keeps_the_best_path_found(self):
         g1 = random_aug(random.Random(7), "g1", max_nodes=30, min_nodes=30, max_edges=60)
@@ -139,9 +142,13 @@ class TestAstarDistance:
         assert dist_ged_astar(ONE_ACTION, GROWN) == pytest.approx(4 / 6)
 
     def test_timeout_without_path_falls_back_to_one(self):
+        # the seed's cost, 169, exceeds the denominator, 156, so the value clamps
         g1 = random_aug(random.Random(7), "g1", max_nodes=30, min_nodes=30, max_edges=60)
         g2 = random_aug(random.Random(8), "g2", max_nodes=30, min_nodes=30, max_edges=60)
+        fallbacks.take()
         assert dist_ged_astar(g1, g2, timeout=0.0) == 1.0
+        counts = fallbacks.take()
+        assert counts[fallbacks.STOPPED] == counts[fallbacks.CLAMPED] == 1
 
 
 class TestAstarAgainstOracle:

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from augdist import AUG, EmptyGraphError, Node, SchemaError, package_of, split_by_api
+from augdist import AUG, Edge, EmptyGraphError, Node, SchemaError, package_of, split_by_api
 from helpers import aug, rule
 
 
@@ -28,7 +30,7 @@ class TestModelInvariants:
             [("n1", "n2", "order"), ("n1", "n2", "order")],
         )
         assert g.edge_count == 2
-        assert g.edge_label_counts[("n1", "n2")]["order"] == 2
+        assert g.edges.count(Edge("n1", "n2", "order")) == 2
 
     UNKNOWN_MISUSE = "mapping references unknown misuse node 'q'"
     UNKNOWN_FIX = "mapping references unknown fix node 'q'"
@@ -121,11 +123,8 @@ class TestSplitByApi:
         assert collected == ["n1", "n2", "n3", "n4"]
         for part in parts.values():
             member_ids = {node.id for node in part.nodes}
+            assert not Counter(part.edges) - Counter(g.edges)
             for edge in part.edges:
-                original = g.edge_label_counts[(edge.source, edge.target)]
-                assert original[edge.label] >= part.edge_label_counts[
-                    (edge.source, edge.target)
-                ][edge.label]
                 assert edge.source in member_ids and edge.target in member_ids
 
     def test_empty_graph_rejected(self):
