@@ -69,7 +69,8 @@ class RunConfig:
         node_similarity.check_options(self.tol, self.max_iter)
         if not isinstance(self.exclude_self, bool):
             raise ValueError("exclude_self must be True or False")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        # a bool is an int, but True is no worker count
+        if type(self.workers) is not int or self.workers < 1:
             raise ValueError("workers must be an integer >= 1")
 
 

@@ -28,14 +28,18 @@ keeps the dense form.
 The table form, ``dist_node_sim_many``, fills a grid of references against
 entries. The iteration reads only a graph's node count and edge positions,
 so graphs that differ only in labels get bit-identical matrices. The table
-form therefore groups both lists by that adjacency, iterates each distinct
-reference against the distinct entries once, solves each distinct pair's
-assignment once, and hands the value to every cell of the pair.
+form therefore groups both lists by that adjacency and hands each distinct
+pair's distance to every cell of the pair. A solved pair's distance is kept
+in a bounded process-wide memo keyed on both adjacencies and the options,
+so later tables, such as the next rule's, iterate only the pairs that no
+earlier table solved. The memo changes only the time a table takes: each
+cell's value, and its count as a capped fallback, are the per-pair ones.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -262,18 +266,29 @@ def _assignment_distance(matrix: SimilarityMatrix) -> float:
     return min(1.0, max(0.0, 1.0 - mean))
 
 
-def _distance(a: AUG, b: AUG, matrix: SimilarityMatrix, value: float) -> float:
-    """``value``, the distance solved from ``matrix`` for ``a`` and ``b``.
+# A solved pair's distance, whether its matrix converged, and the iterations
+# run; None where the pair's update collapses.
+_Solution = tuple[float, bool, int] | None
+
+
+def _solve(matrix: SimilarityMatrix) -> tuple[float, bool, int]:
+    """All that a cell reads of a pair's matrix."""
+    return _assignment_distance(matrix), matrix.converged, matrix.iterations_run
+
+
+def _distance(a: AUG, b: AUG, solution: tuple[float, bool, int]) -> float:
+    """The distance of ``solution``, solved for ``a`` and ``b``.
 
     A capped matrix is logged and counted here, once per call, so once per
     cell of a table whatever pairs share the matrix.
     """
-    if not matrix.converged:
+    value, converged, iterations_run = solution
+    if not converged:
         logger.debug(
             "similarity of %r vs %r stopped at %d iterations without converging",
             a.name,
             b.name,
-            matrix.iterations_run,
+            iterations_run,
         )
         fallbacks.note(fallbacks.CAPPED)
     return value
@@ -290,19 +305,65 @@ def dist_node_sim(
     A matrix capped at ``max_iter`` before converging is used as it stands
     and counted as a ``fallbacks.CAPPED`` fallback.
     """
-    matrix = similarity_matrix(a, b, tol, max_iter)
-    return _distance(a, b, matrix, _assignment_distance(matrix))
+    return _distance(a, b, _solve(similarity_matrix(a, b, tol, max_iter)))
 
 
 _AdjacencyKey = tuple[int, bytes, bytes]
-# A distinct pair's matrix and distance; None where its update collapses.
-_Solution = tuple[SimilarityMatrix, float] | None
+# Everything a pair's solution reads: the reference's and the entry's
+# adjacency, then ``tol`` and ``max_iter``.
+_PairKey = tuple[_AdjacencyKey, _AdjacencyKey, float, int]
 
 
 def _adjacency_key(graph: AUG) -> _AdjacencyKey:
     """All that the iteration reads of a graph."""
     sources, targets = graph.edge_positions
     return graph.node_count, sources.tobytes(), targets.tobytes()
+
+
+# Solved pairs, shared by every table of the process; the oldest leaves
+# once there are more than _MAX_SOLVED. A pair's key holds 16 bytes per
+# distinct edge of each graph and its entry about 0.5 KiB of objects
+# besides, so 2**12 pairs of 25-edge graphs take about 5 MiB. Writes hold
+# the lock; a read is a single ``dict.get``.
+_MAX_SOLVED = 1 << 12
+_solved: dict[_PairKey, _Solution] = {}
+_solved_lock = threading.Lock()
+_UNSOLVED = object()
+
+
+def _remember(key: _PairKey, solution: _Solution) -> None:
+    with _solved_lock:
+        _solved[key] = solution
+        while len(_solved) > _MAX_SOLVED:
+            del _solved[next(iter(_solved))]
+
+
+def _solutions(
+    reference: AUG,
+    reference_key: _AdjacencyKey,
+    distinct: dict[_AdjacencyKey, AUG],
+    tol: float,
+    max_iter: int,
+) -> dict[_AdjacencyKey, _Solution]:
+    """The solution of ``reference`` against each of ``distinct``, by the
+    entry's adjacency. Pairs the memo lacks are iterated in one
+    ``similarity_matrices`` call and remembered."""
+    solutions: dict[_AdjacencyKey, _Solution] = {}
+    missing = []
+    for entry_key in distinct:
+        solution = _solved.get((reference_key, entry_key, tol, max_iter), _UNSOLVED)
+        if solution is _UNSOLVED:
+            missing.append(entry_key)
+        else:
+            solutions[entry_key] = solution
+    if missing:
+        matrices = similarity_matrices(
+            reference, [distinct[key] for key in missing], tol, max_iter
+        )
+        for entry_key, matrix in zip(missing, matrices):
+            solutions[entry_key] = solution = None if matrix is None else _solve(matrix)
+            _remember((reference_key, entry_key, tol, max_iter), solution)
+    return solutions
 
 
 def dist_node_sim_many(
@@ -315,31 +376,29 @@ def dist_node_sim_many(
     each entry (a column); None where the pair is degenerate instead of
     raising.
 
-    Each distinct adjacency among the references is iterated once, in
-    batches, against one entry per distinct adjacency, and each distinct
-    pair's assignment is solved once. Every cell whose pair's matrix is
-    capped counts as a capped fallback.
+    Each distinct pair of adjacencies is iterated and its assignment solved
+    once per process, while the memo holds it: pairs the memo lacks are
+    iterated in batches, one distinct reference adjacency against the
+    distinct entry adjacencies it lacks. Every cell whose pair's matrix is capped counts as a
+    capped fallback, whichever table solved the pair.
     """
     _check_inputs((*references, *entries), tol, max_iter)
     entry_keys = [_adjacency_key(entry) for entry in entries]
     distinct: dict[_AdjacencyKey, AUG] = {}
     for key, entry in zip(entry_keys, entries):
         distinct.setdefault(key, entry)
-    representatives = list(distinct.values())
+    # This call's solutions by reference adjacency: the memo may already
+    # have evicted some of them when the rows are read.
     solved: dict[_AdjacencyKey, dict[_AdjacencyKey, _Solution]] = {}
     rows = []
     for reference in references:
         key = _adjacency_key(reference)
         if key not in solved:
-            matrices = similarity_matrices(reference, representatives, tol, max_iter)
-            solved[key] = {
-                entry_key: None if matrix is None else (matrix, _assignment_distance(matrix))
-                for entry_key, matrix in zip(distinct, matrices)
-            }
+            solved[key] = _solutions(reference, key, distinct, tol, max_iter)
         solutions = [solved[key][entry_key] for entry_key in entry_keys]
         rows.append(
             [
-                None if solution is None else _distance(reference, entry, *solution)
+                None if solution is None else _distance(reference, entry, solution)
                 for entry, solution in zip(entries, solutions)
             ]
         )

@@ -101,6 +101,7 @@ class TestRunConfig:
             {"workers": 2.0},
             {"max_iter": 4.0},
             {"exclude_self": "no"},
+            {"workers": True},
         ],
     )
     def test_rejects_out_of_domain_options(self, overrides):

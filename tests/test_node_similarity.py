@@ -162,6 +162,12 @@ def _graphs(draw, name):
     return AUG(name, nodes, edges)
 
 
+def _empty_memo():
+    """The process-wide memo of solved pairs, emptied for the block and
+    restored after it, so that the block iterates every pair it meets."""
+    return mock.patch.dict(node_similarity._solved, clear=True)
+
+
 def _outcome(kernel, a, b, max_iter):
     try:
         return kernel(a, b, max_iter=max_iter)
@@ -211,7 +217,7 @@ class TestManyToManyMatchesPerPair:
     @example(aug("l", [("n", "A", "data", "")]), [SINGLE_EDGE_B, SINGLE_EDGE_A], 100, 1)
     def test_same_values_nones_and_caps(self, side, others, max_iter, cap):
         fallbacks.take()
-        with mock.patch.object(node_similarity, "_MAX_STACKED_EDGE_PAIRS", cap):
+        with _empty_memo(), mock.patch.object(node_similarity, "_MAX_STACKED_EDGE_PAIRS", cap):
             (values,) = dist_node_sim_many([side], others, max_iter=max_iter)
             matrices = similarity_matrices(side, others, max_iter=max_iter)
         batched_counts = fallbacks.take()
@@ -285,39 +291,97 @@ _NEAR_MISSES = [
 _NEAR_MISS_COPIES = [AUG(f"{g.name}2", g.nodes, g.edges) for g in _NEAR_MISSES]
 
 
+def _per_pair(references, entries, max_iter):
+    return [[_outcome(dist_node_sim, a, b, max_iter) for b in entries] for a in references]
+
+
+class _CountingIterations:
+    """Records each ``similarity_matrices`` call as (reference adjacency,
+    entry adjacencies) while patched in."""
+
+    def __init__(self):
+        self.calls = []
+        self._iterate = node_similarity.similarity_matrices
+
+    def __call__(self, a, others, *args):
+        self.calls.append((_adjacency(a), [_adjacency(b) for b in others]))
+        return self._iterate(a, others, *args)
+
+    def patched(self):
+        return mock.patch.object(node_similarity, "similarity_matrices", self)
+
+    @property
+    def pairs(self):
+        return [(a, b) for a, others in self.calls for b in others]
+
+
 class TestTableFormSharesAdjacencies:
     """Graphs that differ only in labels share one iteration and one
-    assignment, and every cell still holds its per-pair value."""
+    assignment per process, and every cell still holds its per-pair value."""
 
     @settings(max_examples=150, deadline=None)
     @given(_shared_adjacency_tables(), st.sampled_from([2, 6, 100]))
     @example((_NEAR_MISSES + _NEAR_MISS_COPIES, _NEAR_MISS_COPIES + _NEAR_MISSES), 100)
     def test_same_cells_as_per_pair_with_one_iteration_per_adjacency(self, lists, max_iter):
+        # The references make two tables, as two rules would: from an empty
+        # memo, each distinct pair is iterated once across both.
         references, entries = lists
-        calls = []
-        iterate = node_similarity.similarity_matrices
-
-        def counting(a, others, *args):
-            calls.append((_adjacency(a), [_adjacency(b) for b in others]))
-            return iterate(a, others, *args)
-
+        tables = (references[::2], references[1::2])
+        counting = _CountingIterations()
         fallbacks.take()
-        with mock.patch.object(node_similarity, "similarity_matrices", counting):
-            table = dist_node_sim_many(references, entries, max_iter=max_iter)
+        with _empty_memo(), counting.patched():
+            cells = [dist_node_sim_many(table, entries, max_iter=max_iter) for table in tables]
         table_counts = fallbacks.take()
 
-        expected = [
-            [_outcome(dist_node_sim, a, b, max_iter) for b in entries] for a in references
-        ]
+        expected = [_per_pair(table, entries, max_iter) for table in tables]
         assert fallbacks.take() == table_counts
-        assert table == expected  # None in the same cells, equal floats elsewhere
+        assert cells == expected  # None in the same cells, equal floats elsewhere
 
-        reference_keys = [key for key, _ in calls]
-        assert sorted(reference_keys) == sorted({_adjacency(a) for a in references})
-        entry_keys = {_adjacency(b) for b in entries}
-        for _, others in calls:
-            assert len(others) == len(set(others))
-            assert set(others) == entry_keys
+        pairs = counting.pairs
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {(_adjacency(a), _adjacency(b)) for a in references for b in entries}
+        for _, others in counting.calls:
+            assert others
+
+    @settings(max_examples=100, deadline=None)
+    @given(_shared_adjacency_tables(), st.sampled_from([2, 6, 100]))
+    def test_later_table_reads_the_memo(self, lists, max_iter):
+        references, entries = lists
+        look_alikes = [
+            AUG(
+                f"{graph.name}'",
+                tuple(Node(node.id, "Z", "data") for node in graph.nodes),
+                graph.edges,
+            )
+            for graph in references
+        ]
+        counting = _CountingIterations()
+        with _empty_memo():
+            dist_node_sim_many(references, entries, max_iter=max_iter)
+            fallbacks.take()
+            with counting.patched():
+                cells = dist_node_sim_many(look_alikes, entries, max_iter=max_iter)
+            table_counts = fallbacks.take()
+            memo = dict(node_similarity._solved)
+
+        assert counting.calls == []
+        assert cells == _per_pair(look_alikes, entries, max_iter)
+        assert fallbacks.take() == table_counts  # capped cells count in either table
+        for solution in memo.values():  # numbers only, never a matrix
+            assert solution is None or [type(value) for value in solution] == [float, bool, int]
+
+    def test_memo_stays_bounded_and_the_table_keeps_its_cells(self):
+        # four distinct entry adjacencies against a bound of one
+        references = [SINGLE_EDGE_A, _NEAR_MISSES[0]]
+        entries = [*_NEAR_MISSES, *_NEAR_MISS_COPIES, SINGLE_EDGE_B]
+        fallbacks.take()
+        with _empty_memo(), mock.patch.object(node_similarity, "_MAX_SOLVED", 1):
+            cells = dist_node_sim_many(references, entries, max_iter=6)
+            assert len(node_similarity._solved) == 1
+        table_counts = fallbacks.take()
+
+        assert cells == _per_pair(references, entries, max_iter=6)
+        assert fallbacks.take() == table_counts
 
     def test_input_checks_reach_every_graph(self):
         # checked up front, so also in a table with no rows or no columns

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden CSVs from the bundled corpus.
+"""Regenerate the committed golden CSVs from the bundled corpus, and the
+report digests of the benchmark's seed-5 corpora.
 
 Run from the repository root after an intentional behavior change:
 
@@ -8,13 +9,17 @@ Run from the repository root after an intentional behavior change:
 Timing values differ run to run; the golden comparison ignores them.
 """
 
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from augdist.cli import ALGORITHMS, main  # noqa: E402
+from corpus_digests import DIGESTS, WORKLOADS, workload_digests  # noqa: E402
 
 CORPUS = ROOT / "tests" / "data" / "corpus"
 GOLDEN = ROOT / "tests" / "data" / "golden"
@@ -40,5 +45,13 @@ def regenerate() -> None:
         print(f"regenerated {out_dir}")
 
 
+def regenerate_corpus_digests() -> None:
+    with tempfile.TemporaryDirectory() as work:
+        digests = {workload: workload_digests(workload, Path(work)) for workload in WORKLOADS}
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"regenerated {DIGESTS}")
+
+
 if __name__ == "__main__":
     regenerate()
+    regenerate_corpus_digests()
