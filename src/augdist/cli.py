@@ -162,7 +162,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _read_graph(path: Path) -> AUG | None:
     """The graph in a DOT file, or None once the reason it is unreadable is printed."""
     try:
-        return parse_aug(Path(path).read_text(encoding="utf-8"))
+        return parse_aug(Path(path).read_text(encoding="utf-8-sig"))
     except READ_ERRORS as exc:
         print(f"error: cannot read graph from {path}: {exc}", file=sys.stderr)
         return None

@@ -285,7 +285,7 @@ def load_corpus(corpus_dir: Path) -> Dataset:
     if not manifest.is_file():
         raise CorpusLayoutError(f"missing manifest {manifest}")
     try:
-        with manifest.open(newline="", encoding="utf-8") as handle:
+        with manifest.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             columns, rows = reader.fieldnames, list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
@@ -304,7 +304,7 @@ def load_corpus(corpus_dir: Path) -> Dataset:
             )
         path = corpus_dir / f"{name}.dot"
         try:
-            graph = parse_aug(path.read_text(encoding="utf-8"))
+            graph = parse_aug(path.read_text(encoding="utf-8-sig"))
         except READ_ERRORS as exc:
             logger.warning("skipping corpus entry %r: %s", name, exc)
             continue
@@ -328,7 +328,7 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
     rules: list[CorrectionRule] = []
     for path in sorted(rules_dir.glob("*.dot")):
         try:
-            rule = parse_rule(path.read_text(encoding="utf-8"))
+            rule = parse_rule(path.read_text(encoding="utf-8-sig"))
         except READ_ERRORS as exc:
             logger.warning("skipping rule file %s: %s", path.name, exc)
             continue

@@ -27,12 +27,12 @@ keeps the dense form.
 
 The table form, ``dist_node_sim_many``, fills a grid of references against
 entries. The iteration reads only a graph's node count and edge positions,
-so graphs that differ only in labels get bit-identical matrices. The table
-form therefore groups both lists by that adjacency and hands each distinct
-pair's distance to every cell of the pair. A solved pair's distance is kept
-in a bounded process-wide memo keyed on both adjacencies and the options,
-so later tables, such as the next rule's, iterate only the pairs that no
-earlier table solved. The memo changes only the time a table takes: each
+so graphs that differ only in labels get bit-identical matrices. A solved
+pair's distance, and whether its matrix converged, is therefore kept in a
+bounded process-wide memo keyed on both adjacencies and the options, and
+the memo is the only place a table looks for a solved pair: each row
+iterates, in one batch, only the distinct entry adjacencies that no earlier
+row or table solved. The memo changes only the time a table takes: each
 cell's value, and its count as a capped fallback, are the per-pair ones.
 """
 
@@ -257,38 +257,32 @@ def similarity_matrix(
     return matrix
 
 
-def _assignment_distance(matrix: SimilarityMatrix) -> float:
-    """One minus the mean similarity of the best node pairing, in [0, 1]."""
+# A solved pair's distance and whether its matrix converged (a capped
+# matrix always stopped at ``max_iter``); None where the pair's update
+# collapses.
+_Solution = tuple[float, bool] | None
+
+
+def _solve(matrix: SimilarityMatrix) -> tuple[float, bool]:
+    """One minus the mean similarity of the best node pairing, in [0, 1],
+    and whether ``matrix`` converged: all that a cell reads of it."""
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(matrix.entries, maximize=True)
     mean = float(matrix.entries[rows, cols].mean())
-    return min(1.0, max(0.0, 1.0 - mean))
+    return min(1.0, max(0.0, 1.0 - mean)), matrix.converged
 
 
-# A solved pair's distance, whether its matrix converged, and the iterations
-# run; None where the pair's update collapses.
-_Solution = tuple[float, bool, int] | None
-
-
-def _solve(matrix: SimilarityMatrix) -> tuple[float, bool, int]:
-    """All that a cell reads of a pair's matrix."""
-    return _assignment_distance(matrix), matrix.converged, matrix.iterations_run
-
-
-def _distance(a: AUG, b: AUG, solution: tuple[float, bool, int]) -> float:
+def _distance(a: AUG, b: AUG, solution: tuple[float, bool]) -> float:
     """The distance of ``solution``, solved for ``a`` and ``b``.
 
     A capped matrix is logged and counted here, once per call, so once per
     cell of a table whatever pairs share the matrix.
     """
-    value, converged, iterations_run = solution
+    value, converged = solution
     if not converged:
         logger.debug(
-            "similarity of %r vs %r stopped at %d iterations without converging",
-            a.name,
-            b.name,
-            iterations_run,
+            "similarity of %r vs %r stopped at max-iter without converging", a.name, b.name
         )
         fallbacks.note(fallbacks.CAPPED)
     return value
@@ -331,41 +325,6 @@ _solved_lock = threading.Lock()
 _UNSOLVED = object()
 
 
-def _remember(key: _PairKey, solution: _Solution) -> None:
-    with _solved_lock:
-        _solved[key] = solution
-        while len(_solved) > _MAX_SOLVED:
-            del _solved[next(iter(_solved))]
-
-
-def _solutions(
-    reference: AUG,
-    reference_key: _AdjacencyKey,
-    distinct: dict[_AdjacencyKey, AUG],
-    tol: float,
-    max_iter: int,
-) -> dict[_AdjacencyKey, _Solution]:
-    """The solution of ``reference`` against each of ``distinct``, by the
-    entry's adjacency. Pairs the memo lacks are iterated in one
-    ``similarity_matrices`` call and remembered."""
-    solutions: dict[_AdjacencyKey, _Solution] = {}
-    missing = []
-    for entry_key in distinct:
-        solution = _solved.get((reference_key, entry_key, tol, max_iter), _UNSOLVED)
-        if solution is _UNSOLVED:
-            missing.append(entry_key)
-        else:
-            solutions[entry_key] = solution
-    if missing:
-        matrices = similarity_matrices(
-            reference, [distinct[key] for key in missing], tol, max_iter
-        )
-        for entry_key, matrix in zip(missing, matrices):
-            solutions[entry_key] = solution = None if matrix is None else _solve(matrix)
-            _remember((reference_key, entry_key, tol, max_iter), solution)
-    return solutions
-
-
 def dist_node_sim_many(
     references: Sequence[AUG],
     entries: Sequence[AUG],
@@ -376,30 +335,37 @@ def dist_node_sim_many(
     each entry (a column); None where the pair is degenerate instead of
     raising.
 
-    Each distinct pair of adjacencies is iterated and its assignment solved
-    once per process, while the memo holds it: pairs the memo lacks are
-    iterated in batches, one distinct reference adjacency against the
-    distinct entry adjacencies it lacks. Every cell whose pair's matrix is capped counts as a
-    capped fallback, whichever table solved the pair.
+    For each reference, the distinct entry adjacencies the memo lacks are
+    iterated in one ``similarity_matrices`` call and remembered. Every cell
+    whose pair's matrix is capped counts as a capped fallback, whichever
+    row or table solved the pair.
     """
     _check_inputs((*references, *entries), tol, max_iter)
     entry_keys = [_adjacency_key(entry) for entry in entries]
-    distinct: dict[_AdjacencyKey, AUG] = {}
-    for key, entry in zip(entry_keys, entries):
-        distinct.setdefault(key, entry)
-    # This call's solutions by reference adjacency: the memo may already
-    # have evicted some of them when the rows are read.
-    solved: dict[_AdjacencyKey, dict[_AdjacencyKey, _Solution]] = {}
+    distinct = dict(zip(entry_keys, entries))  # graphs of one adjacency iterate alike
     rows = []
     for reference in references:
-        key = _adjacency_key(reference)
-        if key not in solved:
-            solved[key] = _solutions(reference, key, distinct, tol, max_iter)
-        solutions = [solved[key][entry_key] for entry_key in entry_keys]
+        reference_key = _adjacency_key(reference)
+        # The row keeps what it reads, so an eviction meanwhile cannot lose a cell.
+        solutions = {
+            key: _solved.get((reference_key, key, tol, max_iter), _UNSOLVED) for key in distinct
+        }
+        missing = [key for key, solution in solutions.items() if solution is _UNSOLVED]
+        if missing:
+            matrices = similarity_matrices(
+                reference, [distinct[key] for key in missing], tol, max_iter
+            )
+            for key, matrix in zip(missing, matrices):
+                solutions[key] = None if matrix is None else _solve(matrix)
+            with _solved_lock:
+                for key in missing:
+                    _solved[reference_key, key, tol, max_iter] = solutions[key]
+                while len(_solved) > _MAX_SOLVED:
+                    del _solved[next(iter(_solved))]
         rows.append(
             [
-                None if solution is None else _distance(reference, entry, solution)
-                for entry, solution in zip(entries, solutions)
+                None if solutions[key] is None else _distance(reference, entry, solutions[key])
+                for key, entry in zip(entry_keys, entries)
             ]
         )
     return rows

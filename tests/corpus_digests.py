@@ -1,6 +1,7 @@
 """Digests of the reports ``augdist evaluate`` writes for the benchmark's
 seed-5 corpora, shared by ``test_corpus_digests.py`` and
-``tools/regen_goldens.py``.
+``tools/regen_goldens.py``; ``write_seed_corpus`` also gives other tests
+those corpora.
 
 The corpora come from ``bench/workloads.py``, which imports nothing from
 ``augdist`` or the tests. This module only reads that file: it loads it
@@ -54,6 +55,16 @@ class _FallbackTotals(logging.Handler):
                 self.counts[index] = record.args[0]
 
 
+def write_seed_corpus(workload: str, directory: Path) -> Path:
+    """Write ``workload``'s seed-5 corpus to ``directory / workload`` and return that path."""
+    workloads = _bench_workloads()
+    corpus = directory / workload
+    workloads.write_corpus(
+        workloads.make_corpus(workloads.SHAPES[workload], SEED, workload), corpus
+    )
+    return corpus
+
+
 def algorithms(workload: str) -> tuple[str, ...]:
     if workload in SEARCH_WORKLOADS:
         return ALGORITHMS
@@ -65,11 +76,7 @@ def workload_digests(workload: str, directory: Path) -> dict[str, dict[str, obje
     each report in ``REPORTS`` and the run's fallback counts, in the order of
     ``fallbacks.CAUSES``. The corpus and reports are written under
     ``directory``."""
-    workloads = _bench_workloads()
-    corpus = directory / workload
-    workloads.write_corpus(
-        workloads.make_corpus(workloads.SHAPES[workload], SEED, workload), corpus
-    )
+    corpus = write_seed_corpus(workload, directory)
     cli_logger = logging.getLogger("augdist.cli")
     digests: dict[str, dict[str, object]] = {}
     for algorithm in algorithms(workload):

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import math
 import random
@@ -29,6 +30,11 @@ def _write(tmp_path: Path, name: str, text: str) -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _mark(path: Path) -> None:
+    """Prefix ``path`` with the UTF-8 byte order mark that spreadsheet tools save."""
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
 
 
 def _one_class_graph(rng: random.Random, name: str) -> AUG:
@@ -250,6 +256,22 @@ class TestCmdDist:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["exact search stopped at the deadline; best edit path found used"]
 
+    @pytest.mark.parametrize(
+        "command, rest",
+        [("dist", [str(CORPUS / "m1.dot"), "-a", "hungarian-ged"]), ("features", [])],
+        ids=["dist", "features"],
+    )
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys, command, rest):
+        marked = tmp_path / "marked.dot"
+        shutil.copy(CORPUS / "c1.dot", marked)
+        _mark(marked)
+        outputs = []
+        for path in (CORPUS / "c1.dot", marked):
+            assert main([command, str(path), *rest]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[1].err == ""
+
     def test_evaluate_only_flags_rejected(self, tmp_path, capsys):
         a = _write(tmp_path, "a.dot", SINGLE)
         for flag in (["--workers", "2"], ["--no-exclude-self"]):
@@ -454,6 +476,20 @@ class TestCmdEvaluate:
         assert "skipping corpus entry 'c2'" in caplog.text
         rows = _read_rows(out / "applicability.csv")
         assert len(rows) == 3  # header + both rules still evaluated
+
+    @pytest.mark.parametrize("marked", ["labels.csv", "c1.dot", "rules/rule_iter.dot"])
+    def test_byte_order_mark_gives_the_plain_reports(self, tmp_path, capsys, caplog, marked):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS, corpus)
+        _mark(corpus / marked)
+        (tmp_path / "plain").mkdir()
+        plain = self._run(tmp_path / "plain", "hungarian-ged")
+        plain_count = capsys.readouterr().out.splitlines()[-1]
+        out = self._run(tmp_path, "hungarian-ged", corpus=corpus)
+        assert capsys.readouterr().out.splitlines()[-1] == plain_count == "applicable: 1/2"
+        assert "skipping" not in caplog.text
+        for report in ("applicability.csv", "detection.csv"):
+            assert (out / report).read_bytes() == (plain / report).read_bytes()
 
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

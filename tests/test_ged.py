@@ -21,7 +21,7 @@ from augdist import (
     ged_hungarian,
     hungarian_assignment,
 )
-from augdist import fallbacks
+from augdist import fallbacks, load_corpus, load_rules
 from augdist.ged import (
     _assign,
     _MappingSearch,
@@ -30,6 +30,7 @@ from augdist.ged import (
 )
 from augdist.mcs import dist_mcs_hungarian, mcs_cost_model
 from augdist.node_similarity import dist_node_sim
+from corpus_digests import write_seed_corpus
 from gen import random_aug, random_aug_pairs
 from helpers import aug
 from oracles import (
@@ -277,6 +278,21 @@ class TestSearchMatchesMilpOracle:
             result = ged_astar(a, b, cm, timeout=30.0)
             assert result.complete
             assert result.cost == milp_ged(a, b, cm)
+
+    def test_corpus_shape_searches_cost_the_optimum(self, tmp_path):
+        # The harness's shape: the four 8-node rule sides of the seed-5 wide
+        # corpus in turn, each searched against a 20-25-node entry.
+        corpus = write_seed_corpus("wide-corpus", tmp_path)
+        sides = [side for rule in load_rules(corpus / "rules") for side in (rule.misuse, rule.fix)]
+        entries = [entry for entry in load_corpus(corpus).correct if entry.node_count >= 20][:10]
+        assert len(entries) == 10
+        cm = default_cost_model()
+        for index, entry in enumerate(entries):
+            side = sides[index % len(sides)]
+            result = ged_astar(side, entry, cm, timeout=30.0)
+            assert result.complete
+            assert result.cost == milp_ged(side, entry, cm)
+            _assert_valid_mapping(side, entry, result, cm)
 
 
 class TestHungarian:
