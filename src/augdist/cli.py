@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import exas, fallbacks, ged, mcs, node_similarity
 from .dot import parse_aug
-from .errors import CorpusLayoutError, EmptyGraphError, InsufficientDataError
+from .errors import CorpusLayoutError, InsufficientDataError
 from .evaluation import (
     INCOMPUTABLE,
     READ_ERRORS,
@@ -176,7 +176,7 @@ def cmd_dist(file_a: Path, file_b: Path, config: RunConfig) -> int:
     fallbacks.take()  # count this call's fallbacks only
     try:
         value = dist(a, b)
-    except (EmptyGraphError, *INCOMPUTABLE) as exc:
+    except INCOMPUTABLE as exc:
         print(f"error: distance incomputable: {exc}", file=sys.stderr)
         return EXIT_INCOMPUTABLE
     for count, cause in zip(fallbacks.take(), fallbacks.CAUSES):
@@ -294,12 +294,7 @@ def cmd_features(file: Path) -> int:
     """Dump a graph's feature vector as sorted feature<TAB>count lines."""
     if (graph := _read_graph(file)) is None:
         return EXIT_PARSE
-    try:
-        vector = exas.extract_features(graph)
-    except EmptyGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPUTABLE
-    for line in exas.feature_lines(vector):
+    for line in exas.feature_lines(exas.extract_features(graph)):
         print(line)
     return EXIT_OK
 

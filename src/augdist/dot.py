@@ -13,7 +13,8 @@ made of ``[A-Za-z0-9_.]`` and negative numerals (``-1``, ``-.5``,
 ``-2.5``); the punctuation ``{ } [ ] = , ; ->``; ``#`` and ``//`` line
 comments and ``/* */`` block comments. The keywords ``digraph``,
 ``subgraph``, ``graph``, ``node`` and ``edge`` are case-insensitive. Parsing
-fails only with ``DotSyntaxError`` or ``SchemaError``.
+fails only with ``DotSyntaxError`` or ``SchemaError``; a graph with no nodes
+is refused by ``AUG`` itself with ``EmptyGraphError``, a ``SchemaError``.
 
 Text is read statement by statement, one pattern match each, with only
 whitespace between tokens. A text the statement pattern cannot read
@@ -330,7 +331,7 @@ def _edge_label(source: str, target: str, attrs: dict[str, str]) -> str:
 
 
 def parse_aug(dot_text: str) -> AUG:
-    """Parse DOT text describing a single usage graph."""
+    """Parse DOT text describing a single usage graph, which needs a node."""
     graph = _digraph(dot_text)
     _check_declared(graph)
     nodes = []
@@ -354,6 +355,7 @@ def parse_rule(dot_text: str) -> CorrectionRule:
 
     The misuse and fix member graphs are rebuilt without empty nodes and
     without the ``transform`` edges, which become the rule's node mapping.
+    Each side needs a node besides its empty ones.
     """
     graph = _digraph(dot_text)
     _check_declared(graph)

@@ -13,8 +13,9 @@ class SchemaError(AugDistError):
     """Structurally valid DOT that violates the usage-graph attribute schema."""
 
 
-class EmptyGraphError(AugDistError):
-    """Operation requires a graph with at least one node."""
+class EmptyGraphError(SchemaError):
+    """A usage graph with no nodes, which ``AUG`` refuses to build; a
+    ``SchemaError``, so the parser's documented failures include it."""
 
 
 class GedTimeoutError(AugDistError):

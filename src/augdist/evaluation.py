@@ -155,8 +155,6 @@ def distance_table(
     """
     sides = ((SIDE_FIX, rule.fix), (SIDE_MISUSE, rule.misuse))
     entries = (*dataset.correct, *dataset.misuse)
-    for graph in (rule.fix, rule.misuse, *entries):
-        graph.require_non_empty()
     table: DistanceTable = {}
     many_to_many: ManyToManyFn | None = getattr(dist, "many_to_many", None)
     if many_to_many is not None:
@@ -276,9 +274,10 @@ def timing_summary(rows: Iterable[TimingRow]) -> dict[str, tuple[float, float]]:
 def load_corpus(corpus_dir: Path) -> Dataset:
     """Read entries listed in ``labels.csv`` from a directory of DOT files.
 
-    Entries that fail to parse, violate the schema, or are empty are skipped
-    with a warning so one broken file cannot sink a whole run. A manifest
-    that is missing or cannot be read raises ``CorpusLayoutError``.
+    Entries that fail to parse or violate the schema, a graph with no nodes
+    included, are skipped with a warning so one broken file cannot sink a
+    whole run. A manifest that is missing or cannot be read raises
+    ``CorpusLayoutError``.
     """
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "labels.csv"
@@ -308,9 +307,6 @@ def load_corpus(corpus_dir: Path) -> Dataset:
         except READ_ERRORS as exc:
             logger.warning("skipping corpus entry %r: %s", name, exc)
             continue
-        if graph.is_empty:
-            logger.warning("skipping corpus entry %r: graph has no nodes", name)
-            continue
         if graph.name != name:
             graph = AUG(name, graph.nodes, graph.edges)
         (correct if label == LABEL_CORRECT else misuse).append(graph)
@@ -339,9 +335,6 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
                 misuse=replace(rule.misuse, name=f"{path.stem}/misuse"),
                 fix=replace(rule.fix, name=f"{path.stem}/fix"),
             )
-        if rule.misuse.is_empty or rule.fix.is_empty:
-            logger.warning("skipping rule %r: empty member graph", rule.name)
-            continue
         rules.append(rule)
     return rules
 

@@ -43,7 +43,6 @@ def extract_features(graph: AUG) -> FeatureVector:
     Each path is extended one edge instance at a time from each start node,
     skipping an edge whose target the path already holds.
     """
-    graph.require_non_empty()
     labels = {node.id: node.label for node in graph.nodes}
     indegree = dict.fromkeys(labels, 0)
     # per node: (target, edge label, target label) of each outgoing edge
@@ -129,8 +128,6 @@ def dist_exas_l1(a: AUG, b: AUG) -> float:
     count to the sum, and the highest such count per side comes from the
     side's prepared descending key order.
     """
-    a.require_non_empty()
-    b.require_non_empty()
     vec_a, vec_b = a.feature_counts, b.feature_counts
     (total_a, order_a), (total_b, order_b) = a.feature_profile, b.feature_profile
     shared = vec_a.keys() & vec_b.keys()
@@ -171,8 +168,6 @@ def dist_exas_cosine(
     proportion itself as the first term, which scores identical graphs at
     ``lam`` and exists for fidelity experiments.
     """
-    a.require_non_empty()
-    b.require_non_empty()
     check_cosine_options(lam, mode)
     return _cosine(a.feature_counts, b.feature_counts, lam, mode)
 
@@ -207,8 +202,6 @@ def dist_exas_split(
     mode: CosineMode = DEFAULT_COSINE_MODE,
 ) -> float:
     """Per-package split variant of the L1 or cosine vector distance."""
-    a.require_non_empty()
-    b.require_non_empty()
     if base not in SPLIT_BASES:
         raise ValueError(f"unknown base distance {base!r}")
     check_cosine_options(lam, mode)

@@ -530,8 +530,6 @@ def ged_astar(
     before the first expansion returns that path. A NaN ``timeout`` raises
     ``ValueError``, since no deadline would ever pass.
     """
-    a.require_non_empty()
-    b.require_non_empty()
     if math.isnan(timeout):
         raise ValueError("timeout must not be NaN")
     cm = cost_model or default_cost_model()
@@ -627,8 +625,6 @@ def hungarian_assignment(
     deletion and an insertion instead; the cost is the same. Edge costs are
     ignored entirely.
     """
-    a.require_non_empty()
-    b.require_non_empty()
     cm = cost_model or default_cost_model()
     a_nodes, b_nodes = a.nodes_in_id_order, b.nodes_in_id_order
     keys_a, keys_b = ([(u.node_type, u.label) for u in nodes] for nodes in (a_nodes, b_nodes))
@@ -648,8 +644,6 @@ def ged_hungarian(a: AUG, b: AUG, cost_model: CostModel | None = None) -> float:
     as ``_assign`` adds it, so the cost equals ``hungarian_assignment``'s to
     the last bit under every model.
     """
-    a.require_non_empty()
-    b.require_non_empty()
     cm = cost_model or default_cost_model()
     n, m = a.node_count, b.node_count
     counts_a, counts_b = a.node_class_counts, b.node_class_counts

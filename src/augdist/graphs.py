@@ -6,6 +6,9 @@ data-flow edges (``para``, ``recv``, ``def``) and control-flow edges
 (``sel``, ``order``). Node and edge type alphabets are treated as open
 string sets. All types are immutable after construction and safe to share
 across workers.
+
+A usage graph has at least one node: ``AUG`` raises ``EmptyGraphError`` on
+construction otherwise, so no distance, split or feature count has to check.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class Edge:
 
 @dataclass(frozen=True)
 class AUG:
-    """A directed labeled multigraph of API-usage nodes."""
+    """A directed labeled multigraph of API-usage nodes; never empty."""
 
     name: str
     nodes: tuple[Node, ...]
@@ -66,6 +69,8 @@ class AUG:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
+        if not self.nodes:
+            raise EmptyGraphError(f"graph {self.name!r} has no nodes")
         seen: set[str] = set()
         for node in self.nodes:
             if node.id in seen:
@@ -90,10 +95,6 @@ class AUG:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.nodes
 
     @cached_property
     def nodes_by_id(self) -> dict[str, Node]:
@@ -165,10 +166,6 @@ class AUG:
         """
         return tuple(sorted(split_by_api(self).items()))
 
-    def require_non_empty(self) -> None:
-        if self.is_empty:
-            raise EmptyGraphError(f"graph {self.name!r} has no nodes")
-
 
 @dataclass(frozen=True)
 class CorrectionRule:
@@ -224,7 +221,6 @@ def split_by_api(graph: AUG) -> dict[str, AUG]:
     both endpoints stay inside it; edges crossing packages are dropped. The
     ``misc`` cluster is a regular entry.
     """
-    graph.require_non_empty()
     clusters: dict[str, list[Node]] = {}
     for node in graph.nodes:
         clusters.setdefault(package_of(node), []).append(node)

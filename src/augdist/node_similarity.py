@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -187,12 +187,6 @@ def check_options(tol: float, max_iter: int) -> None:
         raise ValueError("max-iter must be an even number >= 2")
 
 
-def _check_inputs(graphs: Iterable[AUG], tol: float, max_iter: int) -> None:
-    for graph in graphs:
-        graph.require_non_empty()
-    check_options(tol, max_iter)
-
-
 def similarity_matrices(
     a: AUG,
     others: Sequence[AUG],
@@ -206,7 +200,7 @@ def similarity_matrices(
     stacked edge-pair entries (a pair with more is a batch of its own); a
     pair's result does not depend on its batch.
     """
-    _check_inputs((a, *others), tol, max_iter)
+    check_options(tol, max_iter)
 
     # The operator M is nonnegative and symmetric and the start is positive,
     # so ``‖Mᵏ·1‖² = 1ᵀ·M²ᵏ·1`` keeps every iterate nonzero unless ``M = 0``,
@@ -340,7 +334,7 @@ def dist_node_sim_many(
     whose pair's matrix is capped counts as a capped fallback, whichever
     row or table solved the pair.
     """
-    _check_inputs((*references, *entries), tol, max_iter)
+    check_options(tol, max_iter)
     entry_keys = [_adjacency_key(entry) for entry in entries]
     distinct = dict(zip(entry_keys, entries))  # graphs of one adjacency iterate alike
     rows = []

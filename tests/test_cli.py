@@ -231,6 +231,18 @@ class TestCmdDist:
         b = _write(tmp_path, "b.dot", SINGLE)
         assert main(["dist", str(tmp_path / "nope.dot"), str(b), "-a", "exas-l1"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "command, rest",
+        [("dist", [str(CORPUS / "m1.dot"), "-a", "exas-l1"]), ("features", [])],
+        ids=["dist", "features"],
+    )
+    def test_graph_without_nodes_exits_2(self, tmp_path, capsys, command, rest):
+        empty = _write(tmp_path, "empty.dot", 'digraph "e" { }\n')
+        assert main([command, str(empty), *rest]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read graph from {empty}: graph 'e' has no nodes\n"
+
     def test_incomputable_exits_3(self, tmp_path, capsys):
         a = _write(tmp_path, "a.dot", EDGELESS_PAIR)
         b = _write(tmp_path, "b.dot", EDGELESS_PAIR)

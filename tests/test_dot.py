@@ -9,6 +9,7 @@ from augdist import (
     AUG,
     DotSyntaxError,
     Edge,
+    EmptyGraphError,
     Node,
     SchemaError,
     parse_aug,
@@ -121,6 +122,11 @@ class TestParseAug:
                 " a -> b; }"
             )
 
+    def test_graph_without_nodes_raises_schema_error(self):
+        with pytest.raises(EmptyGraphError, match="graph 'g' has no nodes") as caught:
+            parse_aug("digraph g { }")
+        assert isinstance(caught.value, SchemaError)
+
     def test_empty_type_node_rejected_outside_rules(self):
         with pytest.raises(SchemaError, match="empty"):
             parse_aug('digraph { a [label="", type="empty"]; }')
@@ -166,9 +172,10 @@ class TestParseAug:
 
 class TestSerializeAug:
     def test_empty_graph_has_empty_body(self):
-        text = serialize_aug(AUG("g", (), ()))
-        assert text == 'digraph "g" {\n}\n'
-        assert parse_aug(text).is_empty
+        # AUG refuses a graph with no nodes, so the body it would serialize
+        # to does not parse back into one
+        with pytest.raises(EmptyGraphError, match="graph 'g' has no nodes"):
+            parse_aug('digraph "g" {\n}\n')
 
     def test_single_node_statement_carries_all_attributes(self):
         g = aug("g", [("n", "A.m()", "action", "p.A")])
@@ -211,17 +218,16 @@ _ids = st.text(alphabet=string.ascii_lowercase + string.digits + "_", min_size=1
 
 @st.composite
 def _graphs(draw):
-    ids = draw(st.lists(_ids, min_size=0, max_size=6, unique=True))
+    # a graph has a node; the empty body is test_empty_graph_has_empty_body's
+    ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
     nodes = tuple(
         Node(node_id, draw(_text), draw(_node_types), draw(st.one_of(st.just(""), _text)))
         for node_id in ids
     )
-    edges = ()
-    if ids:
-        edges = tuple(
-            Edge(draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), draw(_text))
-            for _ in range(draw(st.integers(min_value=0, max_value=8)))
-        )
+    edges = tuple(
+        Edge(draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), draw(_text))
+        for _ in range(draw(st.integers(min_value=0, max_value=8)))
+    )
     name = draw(st.one_of(st.just(""), _text))
     return AUG(name, nodes, edges)
 
@@ -269,6 +275,16 @@ class TestParseRule:
             ' a -> e [label="transform"]; }'
         )
         assert r.mapping == (("a", None),)
+
+    @pytest.mark.parametrize("empty_side", ["misuse", "fix"])
+    def test_side_with_only_empty_nodes_rejected(self, empty_side):
+        kept = "fix" if empty_side == "misuse" else "misuse"
+        with pytest.raises(EmptyGraphError, match=f"graph 'r/{empty_side}' has no nodes"):
+            parse_rule(
+                f'digraph "r" {{ e [label="", type="empty", part="{empty_side}"];'
+                f' a [label="A", type="data", part="{kept}"];'
+                ' a -> e [label="transform"]; }'
+            )
 
     def test_empty_label_on_member_node_rejected(self):
         with pytest.raises(SchemaError, match="'a' has an empty 'label'"):

@@ -11,6 +11,7 @@ from augdist import (
     distance_table,
     dist_ged_hungarian,
     is_applicable,
+    load_corpus,
     load_rules,
     score,
     timing_rows,
@@ -86,6 +87,46 @@ class TestLoadRules:
             ("second", "second/misuse", "second/fix"),
         ]
 
+    def test_rule_with_an_empty_side_skipped(self, tmp_path, caplog):
+        rules_dir = tmp_path / "rules"
+        rules_dir.mkdir()
+        (rules_dir / "hollow.dot").write_text(
+            'digraph "hollow" {\n'
+            '  m [label="A.m()", type="action", api="p.A", part="misuse"];\n'
+            '  e [label="", type="empty", part="fix"];\n'
+            '  m -> e [label="transform"];\n'
+            "}\n",
+            encoding="utf-8",
+        )
+        (rules_dir / "kept.dot").write_text(
+            'digraph "kept" {\n'
+            '  m [label="A.m()", type="action", api="p.A", part="misuse"];\n'
+            '  f [label="A.m()", type="action", api="p.A", part="fix"];\n'
+            "}\n",
+            encoding="utf-8",
+        )
+        assert [r.name for r in load_rules(rules_dir)] == ["kept"]
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warning.startswith("skipping rule") and "hollow" in warning
+
+
+class TestLoadCorpus:
+    def test_entry_without_nodes_skipped(self, tmp_path, caplog):
+        (tmp_path / "labels.csv").write_text(
+            "name,label\nhollow,correct\nc1,correct\nm1,misuse\n", encoding="utf-8"
+        )
+        (tmp_path / "hollow.dot").write_text('digraph "hollow" { }\n', encoding="utf-8")
+        for name in ("c1", "m1"):
+            (tmp_path / f"{name}.dot").write_text(
+                f'digraph "{name}" {{ n [label="A.m()", type="action", api="p.A"]; }}\n',
+                encoding="utf-8",
+            )
+        dataset = load_corpus(tmp_path)
+        assert [g.name for g in dataset.correct] == ["c1"]
+        assert [g.name for g in dataset.misuse] == ["m1"]
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warning.startswith("skipping corpus entry 'hollow'")
+
 
 class TestDataset:
     def test_duplicate_names_rejected(self):
@@ -124,9 +165,9 @@ class TestQuadruple:
         assert all(cell.value is None for cell in table.values())
 
     def test_empty_entry_rejected_with_name(self):
-        dataset = Dataset((AUG("hollow", (), ()),), (MISUSE,))
-        with pytest.raises(EmptyGraphError, match="hollow"):
-            distance_table(RULE, dataset, dist_ged_hungarian)
+        # at construction, so no dataset, and no table, can hold one
+        with pytest.raises(EmptyGraphError, match="graph 'hollow' has no nodes"):
+            AUG("hollow", (), ())
 
 
 class TestDistanceTable:

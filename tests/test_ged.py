@@ -266,15 +266,16 @@ class TestSearchMatchesMilpOracle:
                 assert milp_ged(a, b, cm) == brute_force_ged(a, b, cm)
 
     @pytest.mark.parametrize(
-        "cm, sizes",
+        "cm, count, sizes",
         [
-            (default_cost_model(), {"min_nodes": 8, "max_nodes": 9, "min_edges": 6, "max_edges": 14}),
-            (mcs_cost_model(), {"min_nodes": 12, "max_nodes": 12, "min_edges": 10, "max_edges": 20}),
+            (default_cost_model(), 4, {"min_nodes": 8, "max_nodes": 9, "min_edges": 6, "max_edges": 14}),
+            (default_cost_model(), 2, {"min_nodes": 10, "max_nodes": 10, "min_edges": 8, "max_edges": 16}),
+            (mcs_cost_model(), 4, {"min_nodes": 12, "max_nodes": 12, "min_edges": 10, "max_edges": 20}),
         ],
-        ids=["default-8-9-nodes", "mcs-12-nodes"],
+        ids=["default-8-9-nodes", "default-10-nodes", "mcs-12-nodes"],
     )
-    def test_complete_searches_cost_the_optimum(self, cm, sizes):
-        for a, b in random_aug_pairs(seed=5, count=4, **sizes):
+    def test_complete_searches_cost_the_optimum(self, cm, count, sizes):
+        for a, b in random_aug_pairs(seed=5, count=count, **sizes):
             result = ged_astar(a, b, cm, timeout=30.0)
             assert result.complete
             assert result.cost == milp_ged(a, b, cm)

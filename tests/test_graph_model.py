@@ -128,5 +128,7 @@ class TestSplitByApi:
                 assert edge.source in member_ids and edge.target in member_ids
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(EmptyGraphError):
-            split_by_api(AUG("g", (), ()))
+        # so no split, feature count or distance ever meets one
+        with pytest.raises(EmptyGraphError, match="graph 'g' has no nodes") as caught:
+            AUG("g", (), ())
+        assert isinstance(caught.value, SchemaError)

@@ -10,7 +10,6 @@ from scipy.optimize import linear_sum_assignment
 
 from augdist import (
     DegenerateStructureError,
-    EmptyGraphError,
     dist_node_sim,
     similarity_matrix,
 )
@@ -386,13 +385,10 @@ class TestTableFormSharesAdjacencies:
         assert fallbacks.take() == table_counts
 
     def test_input_checks_reach_every_graph(self):
-        # checked up front, so also in a table with no rows or no columns
-        empty = AUG("empty", (), ())
-        for references, entries in (
-            ([SINGLE_EDGE_A, empty], [SINGLE_EDGE_B]),
-            ([SINGLE_EDGE_A], [SINGLE_EDGE_B, empty]),
-            ([empty], []),
-            ([], [empty]),
-        ):
-            with pytest.raises(EmptyGraphError):
-                dist_node_sim_many(references, entries)
+        # No graph is empty, so only the options are checked: up front, so
+        # also in a table with no rows or no columns.
+        for references, entries in (([SINGLE_EDGE_A], []), ([], [SINGLE_EDGE_B]), ([], [])):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                dist_node_sim_many(references, entries, tol=0.0)
+            with pytest.raises(ValueError, match="max-iter must be"):
+                dist_node_sim_many(references, entries, max_iter=3)
