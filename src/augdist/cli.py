@@ -74,6 +74,12 @@ class RunConfig:
             raise ValueError("workers must be an integer >= 1")
 
 
+def _astar_ged(config: RunConfig) -> DistanceFn:
+    dist = partial(ged.dist_ged_astar, timeout=config.timeout)
+    dist.many_to_many = partial(ged.dist_ged_astar_many, timeout=config.timeout)
+    return dist
+
+
 def _node_sim(config: RunConfig) -> DistanceFn:
     options = {"tol": config.tol, "max_iter": config.max_iter}
     dist = partial(node_similarity.dist_node_sim, **options)
@@ -85,7 +91,7 @@ def _node_sim(config: RunConfig) -> DistanceFn:
 # distance up through the module when it runs, so a rebound module attribute
 # (a tracing wrapper, say) is the one called.
 _BINDERS: dict[str, Callable[[RunConfig], DistanceFn]] = {
-    "astar-ged": lambda config: partial(ged.dist_ged_astar, timeout=config.timeout),
+    "astar-ged": _astar_ged,
     "hungarian-ged": lambda config: ged.dist_ged_hungarian,
     "hungarian-mcs": lambda config: mcs.dist_mcs_hungarian,
     "node-sim": _node_sim,
@@ -105,9 +111,9 @@ ALGORITHMS = tuple(_BINDERS)
 def build_distance(config: RunConfig) -> DistanceFn:
     """Bind the configured algorithm and its options to a two-graph callable.
 
-    The node-sim callable also carries its many-to-many form as
-    ``many_to_many``, which ``distance_table`` calls once per rule with both
-    rule sides as its references.
+    The astar-ged and node-sim callables also carry their many-to-many
+    forms as ``many_to_many``, which ``distance_table`` calls once per rule
+    with both rule sides as its references.
     """
     return _BINDERS[config.algorithm](config)
 

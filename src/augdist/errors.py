@@ -15,7 +15,15 @@ class SchemaError(AugDistError):
 
 class EmptyGraphError(SchemaError):
     """A usage graph with no nodes, which ``AUG`` refuses to build; a
-    ``SchemaError``, so the parser's documented failures include it."""
+    ``SchemaError``, so the parser's documented failures include it.
+    ``name`` is the refused graph's name."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.name = name
+
+    def __str__(self) -> str:
+        return f"graph {self.name!r} has no nodes"
 
 
 class GedTimeoutError(AugDistError):

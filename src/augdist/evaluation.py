@@ -28,6 +28,7 @@ from .errors import (
     AugDistError,
     CorpusLayoutError,
     DegenerateStructureError,
+    EmptyGraphError,
     InsufficientDataError,
 )
 from .graphs import AUG, CorrectionRule
@@ -317,7 +318,12 @@ def load_corpus(corpus_dir: Path) -> Dataset:
 
 
 def load_rules(rules_dir: Path) -> list[CorrectionRule]:
-    """Read every rule DOT file in a directory, sorted by file name."""
+    """Read every rule DOT file in a directory, sorted by file name.
+
+    An unnamed rule, whose sides ``parse_rule`` names ``/misuse`` and
+    ``/fix``, takes its file's stem as its name and as their prefix; a
+    warning about a side with no nodes names the side that way too.
+    """
     rules_dir = Path(rules_dir)
     if not rules_dir.is_dir():
         raise CorpusLayoutError(f"missing rules directory {rules_dir}")
@@ -326,6 +332,8 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
         try:
             rule = parse_rule(path.read_text(encoding="utf-8-sig"))
         except READ_ERRORS as exc:
+            if isinstance(exc, EmptyGraphError) and exc.name.startswith("/"):
+                exc = EmptyGraphError(path.stem + exc.name)
             logger.warning("skipping rule file %s: %s", path.name, exc)
             continue
         if not rule.name:

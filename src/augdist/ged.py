@@ -16,6 +16,11 @@ grow outward, so pairing the most items within each full-key class, then
 within each shorter prefix among the leftovers, makes the most pairs share
 every prefix length at once. Stopping at the first length whose gain is
 not negative gives the optimum over all partial matchings.
+
+The search's distance has a table form, ``dist_ged_astar_many``, which runs
+one search per reference and distinct entry content and fills every cell of
+that content from it; ``dist_ged_astar`` is its one-cell table, so the
+normalization, the clamp and the fallback counts have one home.
 """
 
 from __future__ import annotations
@@ -112,18 +117,32 @@ class _DeadlineHit(Exception):
 
 
 class SearchTables(NamedTuple):
-    """One graph's tables for the exact search, in either role.
+    """One graph's tables for the exact search: all that it reads of the
+    target graph, and the node keys and edges it reads of the source too.
 
     Nodes are numbered as in ``AUG.nodes_in_id_order``. The tables are
     read-only, since the graph is shared; ``AUG.search_tables`` builds them
-    once per graph.
+    once per graph. Two graphs with equal ``keys`` and ``edges`` cost the
+    same to reach from any source, which ``dist_ged_astar_many`` uses.
     """
 
     keys: tuple[tuple[str, str], ...]  # (node_type, label) of each node
     # edges[i][j]: the sorted labels of the edges from node i to node j
     edges: tuple[tuple[tuple[str, ...], ...], ...]
-    # As the source graph, node i is decided at depth i, which settles its
-    # loops and its edges with its earlier neighbours, ``settled[i]`` edges.
+    # Each node's other neighbours, with the labels of its edges with each
+    # of them, and every edge as (source, target, label) in label order.
+    links: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]
+    arcs: tuple[tuple[int, int, str], ...]
+
+
+class SourceTables(NamedTuple):
+    """The tables the exact search reads only of the source graph, whose
+    node i it decides at depth i. ``AUG.source_tables`` builds them once per
+    graph, and only for a graph searched as the source.
+    """
+
+    # Deciding node i settles its loops and its edges with its earlier
+    # neighbours, ``settled[i]`` edges.
     earlier: tuple[tuple[int, ...], ...]
     earlier_set: tuple[frozenset[int], ...]
     settled: tuple[int, ...]
@@ -132,11 +151,6 @@ class SearchTables(NamedTuple):
     # from nodes >= d; among[d]: those of the edges among nodes >= d.
     anchored: tuple[tuple[tuple[tuple[str, ...], tuple[str, ...]], ...], ...]
     among: tuple[tuple[str, ...], ...]
-    # As the target graph: each node's other neighbours, with the labels of
-    # its edges with each of them, and every edge as (source, target, label)
-    # in label order.
-    links: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]
-    arcs: tuple[tuple[int, int, str], ...]
 
 
 def search_tables(graph: AUG) -> SearchTables:
@@ -153,18 +167,30 @@ def search_tables(graph: AUG) -> SearchTables:
     for i, j, x in arcs:
         rows[i][j] += (x,)
     edges = tuple(map(tuple, rows))
-    keys = tuple((node.node_type, node.label) for node in nodes)
+    return SearchTables(
+        keys=tuple((node.node_type, node.label) for node in nodes),
+        edges=edges,
+        links=tuple(
+            tuple((l, pair) for l in range(size) if l != k and (pair := edges[k][l] + edges[l][k]))
+            for k in range(size)
+        ),
+        arcs=arcs,
+    )
+
+
+def source_tables(graph: AUG) -> SourceTables:
+    """Build ``graph``'s source tables; ``graph.source_tables`` caches them."""
+    edges, arcs = graph.search_tables.edges, graph.search_tables.arcs
+    size = len(edges)
     earlier = tuple(
         tuple(j for j in range(i) if edges[i][j] or edges[j][i]) for i in range(size)
     )
-    outs: list[list[tuple[int, str]]] = [[] for _ in nodes]
-    ins: list[list[tuple[int, str]]] = [[] for _ in nodes]
+    outs: list[list[tuple[int, str]]] = [[] for _ in edges]
+    ins: list[list[tuple[int, str]]] = [[] for _ in edges]
     for i, j, x in arcs:
         outs[i].append((j, x))
         ins[j].append((i, x))
-    return SearchTables(
-        keys=keys,
-        edges=edges,
+    return SourceTables(
         earlier=earlier,
         earlier_set=tuple(map(frozenset, earlier)),
         settled=tuple(
@@ -179,11 +205,6 @@ def search_tables(graph: AUG) -> SearchTables:
             for d in range(size)
         ),
         among=tuple(tuple(x for i, j, x in arcs if i >= d and j >= d) for d in range(size)),
-        links=tuple(
-            tuple((l, pair) for l in range(size) if l != k and (pair := edges[k][l] + edges[l][k]))
-            for k in range(size)
-        ),
-        arcs=arcs,
     )
 
 
@@ -237,8 +258,9 @@ class _MappingSearch:
     when the second endpoint of an edge is decided, so the accumulated cost
     of a partial mapping covers exactly the edges whose fate is fixed.
 
-    The per-graph tables come from ``AUG.search_tables`` and the class
-    counts from ``AUG.node_class_counts``, built once per graph and run:
+    The per-graph tables come from ``AUG.search_tables`` (both graphs) and
+    ``AUG.source_tables`` (``a`` only), and the class counts from
+    ``AUG.node_class_counts``, each built once per graph and run:
     each ordered node pair's edges are a sorted tuple of label strings, on
     which a pair's edit cost is memoized per cost model. Node ``i`` of
     ``a`` is always decided at depth ``i``, so the ``a`` edges
@@ -286,11 +308,11 @@ class _MappingSearch:
         self.n = len(self.a_nodes)
         self.m = len(self.b_nodes)
 
-        ta, tb = a.search_tables, b.search_tables
+        ta, tb, sa = a.search_tables, b.search_tables, a.source_tables
         self.pair_cost = _pair_costs(cm)
         self.edges_a, self.edges_b = ta.edges, tb.edges
-        self.earlier_a, self.earlier_set_a, self.settled_a = ta.earlier, ta.earlier_set, ta.settled
-        self.anchored_a, self.among_a = ta.anchored, ta.among
+        self.earlier_a, self.earlier_set_a, self.settled_a = sa.earlier, sa.earlier_set, sa.settled
+        self.anchored_a, self.among_a = sa.anchored, sa.among
         self.links_b, self.arcs_b = tb.links, tb.arcs
         self.key_a, self.key_b = ta.keys, tb.keys
 
@@ -402,25 +424,33 @@ class _MappingSearch:
     def _bound(self, depth: int) -> float:
         """``_node_bound`` plus ``_assign``'s cost over each block of the
         uncharged edges: the free block, then each decided source node's
-        edges out and in."""
+        edges out and in.
+
+        The target's out and in blocks are gathered into dicts keyed by the
+        used node they hang from, so a call builds only the blocks that
+        hold edges. A decided node whose four blocks are all empty is not
+        priced: its sum would be exactly 0.0, so the bound is the same float.
+        """
         used = self.used
-        # Index _DELETED is the extra list, which stays empty, so a deleted
-        # node's edges are priced as deletions.
-        out_b = [[] for _ in range(self.m + 1)]
-        in_b = [[] for _ in range(self.m + 1)]
+        out_b: dict[int, list[str]] = {}
+        in_b: dict[int, list[str]] = {}
         free_b = []
         for k, l, x in self.arcs_b:
             if used[k]:
                 if not used[l]:
-                    out_b[k].append(x)
+                    out_b.setdefault(k, []).append(x)
             elif used[l]:
-                in_b[l].append(x)
+                in_b.setdefault(l, []).append(x)
             else:
                 free_b.append(x)
         pair_cost = self.pair_cost
         bound = self._node_bound(depth) + pair_cost(self.among_a[depth], tuple(free_b))
+        # A deleted node (_DELETED) has no target blocks, so its source
+        # blocks are priced as deletions.
         for (out_a, in_a), k in zip(self.anchored_a[depth], self.assign):
-            bound += pair_cost(out_a, tuple(out_b[k])) + pair_cost(in_a, tuple(in_b[k]))
+            out_k, in_k = out_b.get(k, ()), in_b.get(k, ())
+            if out_a or in_a or out_k or in_k:
+                bound += pair_cost(out_a, tuple(out_k)) + pair_cost(in_a, tuple(in_k))
         return bound
 
     # -- search --------------------------------------------------------------
@@ -557,24 +587,57 @@ def dist_ged_astar(
     cost_model: CostModel | None = None,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> float:
-    """Edit cost normalized by the maximum-cost denominator, in [0, 1].
+    """Edit cost normalized by the maximum-cost denominator, in [0, 1]: the
+    one-cell ``dist_ged_astar_many``.
 
     A search stopped at the deadline gives the cost of the best edit path it
     found, counted as a ``fallbacks.STOPPED`` fallback. A NaN ``timeout``
     raises ``ValueError``, as in ``ged_astar``.
     """
+    return dist_ged_astar_many((a,), (b,), cost_model, timeout)[0][0]
+
+
+def dist_ged_astar_many(
+    references: Sequence[AUG],
+    entries: Sequence[AUG],
+    cost_model: CostModel | None = None,
+    timeout: float = DEFAULT_TIMEOUT,
+) -> list[list[float]]:
+    """``dist_ged_astar(reference, entry)`` for each reference (a row) and
+    each entry (a column).
+
+    Entries whose search tables hold equal ``keys`` and ``edges`` cost the
+    same to reach from any reference, so each row runs one search per
+    distinct entry content and fills each of its cells from that search.
+    Each cell still counts its own fallbacks: a ``fallbacks.STOPPED`` one if
+    its search stopped at the deadline, a ``fallbacks.CLAMPED`` one if its
+    value clamps. Nothing is kept past the call.
+    """
     cm = cost_model or default_cost_model()
-    result = ged_astar(a, b, cm, timeout)
-    if not result.complete:
-        logger.debug(
-            "search for %r vs %r stopped at its %.3fs deadline; best edit path found used",
-            a.name,
-            b.name,
-            timeout,
-        )
-        fallbacks.note(fallbacks.STOPPED)
-    value = result.cost / normalization_denominator(a, b, cm)
-    return _clamp_unit(value, "normalized edit distance")
+    columns: dict[tuple, int] = {}  # search content -> its index among a row's searches
+    column_of = [
+        columns.setdefault((entry.search_tables.keys, entry.search_tables.edges), len(columns))
+        for entry in entries
+    ]
+    searched = list(dict(zip(column_of, entries)).values())  # an entry of each content
+    rows = []
+    for reference in references:
+        results = [ged_astar(reference, entry, cm, timeout) for entry in searched]
+        row = []
+        for entry, column in zip(entries, column_of):
+            result = results[column]
+            if not result.complete:
+                logger.debug(
+                    "search for %r vs %r stopped at its %.3fs deadline; best edit path found used",
+                    reference.name,
+                    entry.name,
+                    timeout,
+                )
+                fallbacks.note(fallbacks.STOPPED)
+            value = result.cost / normalization_denominator(reference, entry, cm)
+            row.append(_clamp_unit(value, "normalized edit distance"))
+        rows.append(row)
+    return rows
 
 
 def _assign(

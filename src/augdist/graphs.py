@@ -70,7 +70,7 @@ class AUG:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         if not self.nodes:
-            raise EmptyGraphError(f"graph {self.name!r} has no nodes")
+            raise EmptyGraphError(self.name)
         seen: set[str] = set()
         for node in self.nodes:
             if node.id in seen:
@@ -157,6 +157,15 @@ class AUG:
         from . import ged  # ged imports this module
 
         return ged.search_tables(self)
+
+    @cached_property
+    def source_tables(self) -> ged.SourceTables:
+        """The exact search's tables for this graph as the source only,
+        built once per graph searched as the source. Read-only, since the
+        graph is shared."""
+        from . import ged  # ged imports this module
+
+        return ged.source_tables(self)
 
     @cached_property
     def api_parts(self) -> tuple[tuple[str, AUG], ...]:

@@ -197,6 +197,19 @@ class TestRunConfig:
         assert dist.many_to_many([graph], [graph, graph]) == [[0.25, 0.25]]
         assert calls == [([graph], [graph, graph])]
 
+    def test_astar_ged_many_to_many_is_looked_up_through_its_module(self, monkeypatch):
+        calls = []
+
+        def counting(references, entries, **options):
+            calls.append((list(references), list(entries), options))
+            return [[0.25] * len(entries) for _ in references]
+
+        monkeypatch.setattr(ged, "dist_ged_astar_many", counting)
+        graph = parse_aug(SINGLE)
+        dist = build_distance(RunConfig(algorithm="astar-ged", timeout=2.5))
+        assert dist.many_to_many([graph], [graph, graph]) == [[0.25, 0.25]]
+        assert calls == [([graph], [graph, graph], {"timeout": 2.5})]
+
     def test_every_algorithm_builds_a_callable(self):
         graph = parse_aug(SINGLE)
         for name in ALGORITHMS:

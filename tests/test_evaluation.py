@@ -109,6 +109,21 @@ class TestLoadRules:
         (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warning.startswith("skipping rule") and "hollow" in warning
 
+    @pytest.mark.parametrize("empty_side", ["misuse", "fix"])
+    def test_unnamed_rule_with_an_empty_side_warned_by_file_stem(self, tmp_path, caplog, empty_side):
+        kept = "fix" if empty_side == "misuse" else "misuse"
+        (tmp_path / "x.dot").write_text(
+            "digraph {\n"
+            f'  a [label="A.m()", type="action", api="p.A", part="{kept}"];\n'
+            f'  e [label="", type="empty", part="{empty_side}"];\n'
+            '  a -> e [label="transform"];\n'
+            "}\n",
+            encoding="utf-8",
+        )
+        assert load_rules(tmp_path) == []
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warning == f"skipping rule file x.dot: graph 'x/{empty_side}' has no nodes"
+
 
 class TestLoadCorpus:
     def test_entry_without_nodes_skipped(self, tmp_path, caplog):

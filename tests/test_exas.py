@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from augdist import (
-    EmptyGraphError,
     dist_exas_cosine,
     dist_exas_l1,
     dist_exas_split,
@@ -128,9 +127,11 @@ class TestExtractFeatures:
             )
             assert actual == expected
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(EmptyGraphError):
-            extract_features(AUG("e", (), ()))
+    def test_one_node_with_loops_counts_degrees_but_no_path(self):
+        # the smallest graphs with edges: a path never revisits its start
+        for loops in (1, 2):
+            looped = aug("looped", [("n", "A.m()", "action", "p.A")], [("n", "n", "order")] * loops)
+            assert extract_features(looped) == {("pq", "A.m()", "action", loops, loops): 1}
 
 
 class TestSubSuper:

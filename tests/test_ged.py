@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 from collections import Counter, defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from augdist import (
     AUG,
     CostModel,
-    EmptyGraphError,
     Node,
     default_cost_model,
     dist_ged_astar,
@@ -21,11 +21,12 @@ from augdist import (
     ged_hungarian,
     hungarian_assignment,
 )
-from augdist import fallbacks, load_corpus, load_rules
+from augdist import fallbacks, ged, load_corpus, load_rules
 from augdist.ged import (
     _assign,
     _MappingSearch,
     _pair_edge_cost,
+    dist_ged_astar_many,
     normalization_denominator,
 )
 from augdist.mcs import dist_mcs_hungarian, mcs_cost_model
@@ -90,9 +91,22 @@ class TestAstarExamples:
         assert result.cost == 4.0
         assert result.complete
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(EmptyGraphError):
-            ged_astar(AUG("e", (), ()), ONE_ACTION)
+    def test_one_node_graphs_match_brute_force(self):
+        # the smallest graphs there are, with no, one or two loops
+        shapes = [
+            (label, kind, loops)
+            for label in ("A", "B") for kind in ("action", "data") for loops in (0, 1, 2)
+        ]
+        graphs = [
+            aug(f"g{i}", [("n", label, kind)], [("n", "n", "order")] * loops)
+            for i, (label, kind, loops) in enumerate(shapes)
+        ]
+        for cm in (default_cost_model(), mcs_cost_model()):
+            for a in graphs:
+                for b in graphs:
+                    result = ged_astar(a, b, cm)
+                    assert result.complete
+                    assert result.cost == brute_force_ged(a, b, cm), f"{a} vs {b}"
 
     def test_passed_deadline_returns_the_seed(self):
         g1 = random_aug(random.Random(7), "g1", max_nodes=30, min_nodes=30, max_edges=60)
@@ -150,6 +164,63 @@ class TestAstarDistance:
         assert dist_ged_astar(g1, g2, timeout=0.0) == 1.0
         counts = fallbacks.take()
         assert counts[fallbacks.STOPPED] == counts[fallbacks.CLAMPED] == 1
+
+
+def _content(graph: AUG) -> tuple:
+    """What the search reads of a target graph, spelled out without its tables."""
+    return (
+        tuple(sorted((node.id, node.node_type, node.label) for node in graph.nodes)),
+        tuple(sorted((edge.source, edge.target, edge.label) for edge in graph.edges)),
+    )
+
+
+def _with_copies(graphs, copies: int) -> list[AUG]:
+    """The graphs, then ``copies`` rounds of them again under other names."""
+    return [
+        graph if round == 0 else AUG(f"{graph.name}-copy{round}", graph.nodes, graph.edges)
+        for round in range(copies + 1)
+        for graph in graphs
+    ]
+
+
+class TestAstarTableForm:
+    """``dist_ged_astar_many`` fills a table from one search per reference
+    and distinct entry content, yet each cell is what the per-pair distance
+    gives, fallbacks included."""
+
+    @pytest.mark.parametrize("seed, timeout", [(163, 60.0), (167, 60.0), (173, 0.0)])
+    def test_duplicated_entries_match_the_per_pair_distance(self, seed, timeout):
+        pairs = random_aug_pairs(seed=seed, count=8, max_nodes=5, max_edges=7)
+        references = [a for a, _ in pairs[:3]]
+        entries = _with_copies([b for _, b in pairs], copies=2)
+        fallbacks.take()
+        expected = [[dist_ged_astar(a, b, timeout=timeout) for b in entries] for a in references]
+        expected_counts = fallbacks.take()
+        assert dist_ged_astar_many(references, entries, timeout=timeout) == expected
+        assert fallbacks.take() == expected_counts
+        if timeout == 0.0:
+            assert expected_counts[fallbacks.STOPPED] == len(references) * len(entries)
+
+    def test_one_search_per_reference_and_distinct_entry_content(self):
+        pairs = random_aug_pairs(seed=179, count=8, max_nodes=5, max_edges=7)
+        references = [a for a, _ in pairs[:3]]
+        entries = _with_copies([b for _, b in pairs], copies=2)
+        distinct = len({_content(entry) for entry in entries})
+        assert distinct < len(entries)
+        with mock.patch.object(ged, "ged_astar", wraps=ged.ged_astar) as search:
+            dist_ged_astar_many(references, entries, timeout=60.0)
+        searched = Counter((call.args[0].name, _content(call.args[1])) for call in search.call_args_list)
+        assert len(searched) == len(references) * distinct
+        assert set(searched.values()) == {1}
+
+    def test_stopped_copies_each_count_as_stopped(self):
+        g1 = random_aug(random.Random(7), "g1", max_nodes=30, min_nodes=30, max_edges=60)
+        g2 = random_aug(random.Random(8), "g2", max_nodes=30, min_nodes=30, max_edges=60)
+        fallbacks.take()
+        (row,) = dist_ged_astar_many([g1], _with_copies([g2], copies=2), timeout=0.0)
+        counts = fallbacks.take()
+        assert row == [row[0]] * 3
+        assert counts[fallbacks.STOPPED] == 3
 
 
 class TestAstarAgainstOracle:
@@ -699,6 +770,38 @@ class TestPreparedSearchTables:
             for cm in (default_cost_model(), mcs_cost_model()):
                 assert ged_astar(restored, b, cm, 60.0) == ged_astar(fresh, b, cm, 60.0)
                 assert ged_astar(b, restored, cm, 60.0) == ged_astar(b, fresh, cm, 60.0)
+
+
+class TestPreparedSourceTables:
+    def test_built_once_per_source_graph_only(self, monkeypatch):
+        calls = Counter()
+        build = AUG.source_tables.func
+
+        def counted(graph):
+            calls[graph.name] += 1
+            return build(graph)
+
+        monkeypatch.setattr(AUG.source_tables, "func", counted)
+        pairs = random_aug_pairs(seed=181, count=4, max_nodes=4, max_edges=5, min_edges=1)
+        sources, targets = [a for a, _ in pairs], [b for _, b in pairs]
+        for _ in range(2):
+            dist_ged_astar_many(sources, targets, timeout=60.0)
+            for a in sources:
+                for b in targets:
+                    ged_astar(a, b, timeout=60.0)
+                    dist_ged_astar(a, b, timeout=60.0)
+        assert calls == Counter({graph.name: 1 for graph in sources})
+        assert not any("source_tables" in vars(graph) for graph in targets)
+
+    def test_survives_pickle(self):
+        for a, b in random_aug_pairs(seed=191, count=20, max_nodes=6, max_edges=6):
+            a.source_tables
+            restored = pickle.loads(pickle.dumps(a))
+            assert "source_tables" in vars(restored)
+            assert restored.source_tables == a.source_tables
+            fresh = AUG(a.name, a.nodes, a.edges)
+            for cm in (default_cost_model(), mcs_cost_model()):
+                assert ged_astar(restored, b, cm, 60.0) == ged_astar(fresh, b, cm, 60.0)
 
 
 class TestPreparedNodeClassCounts:
