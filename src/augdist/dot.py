@@ -17,10 +17,13 @@ fails only with ``DotSyntaxError`` or ``SchemaError``; a graph with no nodes
 is refused by ``AUG`` itself with ``EmptyGraphError``, a ``SchemaError``.
 
 Text is read statement by statement, one pattern match each, with only
-whitespace between tokens. A text the statement pattern cannot read
-(comments, touching tokens such as ``-1.2.3``, subgraphs and every error)
-goes to a token walk, which reads it from the start and is the only place
-errors are worded. Both build the same graph.
+whitespace between tokens. The pattern finds an attribute list by a bracket
+scan that skips quoted values; its grammar is checked once per distinct
+list text, when the list's dict is first read. A text the statement
+pattern cannot read (comments, touching tokens such as ``-1.2.3``,
+subgraphs, a quoted value holding a ``]`` that whitespace, ``;`` or ``}``
+follows, and every error) goes to a token walk, which reads it from the
+start and is the only place errors are worded. Both build the same graph.
 
 Equal pieces of text are read once per process and the immutable result is
 shared, through bounded caches: an attribute list's dict, and each ``Node``
@@ -80,17 +83,21 @@ _WORD_END = rf"(?!{_WORD_CHAR})"
 _ID = rf"(?:{_WORD}{_WORD_END}|{_NUMERAL}(?![0-9.]))"
 _NAME = rf'(?:"{_STRING_BODY}"|{_ID})'
 _NAME_GROUPS = rf'(?:"({_STRING_BODY})"|({_ID}))'  # a string's body, or an id
-_ATTRS = rf"[\s,;]*(?:{_NAME}\s*=\s*{_NAME}[\s,;]*)*"
 
 _HEAD = re.compile(rf"\s*(?ai:digraph){_WORD_END}\s*(?:{_NAME_GROUPS}\s*)?\{{", re.DOTALL)
 # One match per statement, separated by whitespace only. Comments are left
 # to the token walk: a gap that also skips them made the reader much slower,
 # and without possessive quantifiers a "#" comment could end before its line
-# does. Groups: 1 the keyword of a default-attribute statement; 2-3 the
+# does. An attribute list is only found here, by a bracket scan: to the
+# first "]" where whitespace, ";" or "}" follows it, else to the first "]"
+# outside quoted values, as Java array types put "]" in labels. Its grammar
+# is checked by _attributes, once per distinct text; a text that is no
+# attribute list, such as one cut at a "]" inside a value, goes to the token
+# walk. Groups: 1 the keyword of a default-attribute statement; 2-3 the
 # first name; 4 the arrow, 5-6 the second name and 7 the rest of an edge
-# chain; 8 the attribute list; 9 the closing brace at the end of the text;
-# 10 the rest of a text the reader hands to the token walk. Group 9 or 10 is
-# in the last match only.
+# chain; 8 or 9 the attribute list; 10 the closing brace at the end of the
+# text; 11 the rest of a text the reader hands to the token walk. Group 10
+# or 11 is in the last match only.
 _STATEMENT = re.compile(
     rf"""\s*(?:
       (?:((?ai:graph|node|edge)){_WORD_END}(?=\s*\[)
@@ -98,14 +105,17 @@ _STATEMENT = re.compile(
         {_NAME_GROUPS}
         (?:\s*(->)\s*{_NAME_GROUPS}((?:\s*->\s*{_NAME})*))?
       )
-      (?:\s*\[({_ATTRS})\])?
+      (?:\s*\[([^\]]*)\](?=[\s;}}])
+      | \s*\[([^\]"]*(?:"{_STRING_BODY}"[^\]"]*)*)\]
+      )?
     | (\}}\s*\Z)
     | (.+)
     )\s*;?""",
     re.VERBOSE | re.DOTALL,
 )
-# These split what _STATEMENT has matched: an attribute list into pairs, and
-# the rest of an edge chain into names.
+# These read what _STATEMENT has found: an attribute list, checked whole and
+# split into pairs, and the rest of an edge chain, split into names.
+_ATTR_LIST = re.compile(rf"[\s,;]*(?:{_NAME}\s*=\s*{_NAME}[\s,;]*)*", re.DOTALL)
 _PAIR = re.compile(rf"{_NAME_GROUPS}\s*=\s*{_NAME_GROUPS}", re.DOTALL)
 _CHAIN = re.compile(_NAME_GROUPS, re.DOTALL)
 
@@ -115,8 +125,11 @@ _CACHE_SIZE = 1 << 14
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _attributes(attr_list: str) -> dict[str, str]:
-    """The dict of an attribute list's raw text, shared and read-only."""
+def _attributes(attr_list: str) -> dict[str, str] | None:
+    """The dict of an attribute list's raw text, shared and read-only, or
+    None where the text is not an attribute list."""
+    if _ATTR_LIST.fullmatch(attr_list) is None:
+        return None
     unescape = _unescape if "\\" in attr_list else str
     return {
         unescape(key_str or key_id): unescape(value_str or value_id)
@@ -274,17 +287,19 @@ def _read_statements(text: str) -> _Digraph | None:
     if head is None:
         return None
     statements = _STATEMENT.findall(text, head.end())
-    if not statements or not statements[-1][8]:  # no closing brace (group 9)
+    if not statements or not statements[-1][9]:  # no closing brace (group 10)
         return None
     # Only a text with a backslash has anything to unescape.
     unescape = _unescape if "\\" in text else str
     name_str, name_id = head.groups("")
     graph = _Digraph(unescape(name_str or name_id))
     nodes, edges = graph.nodes, graph.edges
-    for default, a_str, a_id, arrow, b_str, b_id, rest, attr_list, _, _ in statements[:-1]:
+    for default, a_str, a_id, arrow, b_str, b_id, rest, bare, quoted, _, _ in statements[:-1]:
+        attrs = _attributes(bare or quoted)
+        if attrs is None:
+            return None
         if default:
             continue
-        attrs = _attributes(attr_list)
         first = unescape(a_str or a_id)
         if not arrow:
             nodes[first] = {**nodes[first], **attrs} if first in nodes else attrs

@@ -343,6 +343,7 @@ _STATEMENTS = [
     ' n [label="A", type=data, api=p.A]; ', " a -> b ", ' a -> b -> "c" ', " -> ",
     "[label=-1, type=t]", "[,; k=v;]", "[]", "[k=ab=c]", " node [k=v] ", " EDGE ",
     '"node"', "Graph", '"a\\"b\\\\"', "-1.2.3",
+    '"byte[]"', '"a] b"', '"x]"', ' a -> b [label="]"] ',
 ]
 _dot_like = st.lists(st.sampled_from(_PIECES + _STATEMENTS), max_size=40).map("".join)
 
@@ -419,6 +420,13 @@ class TestStatementReaderMatchesWalk:
     @example('digraph { "a" [label=x, type=t]; a -> "b" [label="r\\\\e"]; b [type=t] }')
     @example("d\u0131graph { }")
     @example('digraph { a -> "" }')
+    @example("digraph { node [k=] }")
+    @example("digraph { edge [a] }")
+    @example('digraph { a [label="x] y", type=t] }')
+    @example('digraph { a [label="x]; y", type=t]; b [label="]}"] }')
+    @example("digraph { a [label=x, type=t }")
+    @example('digraph { a [label="x"] b [k=v')
+    @example("digraph { a [k=]; b [label=x, type=t] }")  # "k=" of the node example, cached
     def test_same_graph_or_message(self, text):
         assert _graph_or_message(_digraph, text) == _graph_or_message(_walk, text)
 
@@ -428,6 +436,8 @@ _READ_FORMS = [
     'digraph g { node [label=x]; NODE; "node" [label=y, type=t] }',
     'digraph { a [label="say \\"hi\\" \\\\ bye"]; a [type=t, label=-1.5] }',
     'digraph -1 { a [,;]; "" -> a [label=l;] }',
+    'digraph { a [label="byte[]", type=data]; b [label="Arrays.sort(int[])", type=action];'
+    ' a -> b [label="]"] }',
 ]
 
 
