@@ -33,6 +33,7 @@ and ``Edge``. Corpora that reuse API labels and edge kinds gain the most.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -89,15 +90,16 @@ _HEAD = re.compile(rf"\s*(?ai:digraph){_WORD_END}\s*(?:{_NAME_GROUPS}\s*)?\{{", 
 # to the token walk: a gap that also skips them made the reader much slower,
 # and without possessive quantifiers a "#" comment could end before its line
 # does. An attribute list is only found here, by a bracket scan: to the
-# first "]" where whitespace, ";" or "}" follows it, else to the first "]"
-# outside quoted values, as Java array types put "]" in labels. Its grammar
-# is checked by _attributes, once per distinct text; a text that is no
-# attribute list, such as one cut at a "]" inside a value, goes to the token
-# walk. Groups: 1 the keyword of a default-attribute statement; 2-3 the
-# first name; 4 the arrow, 5-6 the second name and 7 the rest of an edge
-# chain; 8 or 9 the attribute list; 10 the closing brace at the end of the
-# text; 11 the rest of a text the reader hands to the token walk. Group 10
-# or 11 is in the last match only.
+# first "]" if whitespace, ";" or "}" follows it, else to the first "]"
+# outside quoted values, as Java array types put "]" in labels (the second
+# scan alone made wide-corpus evaluates about 6% slower). Its grammar is
+# checked by _attributes, once per distinct text; a text that is no
+# attribute list, such as one cut at a "]" inside a value, goes to the
+# token walk. Groups: 1 the keyword of a default-attribute statement; 2-3
+# the first name; 4 the arrow, 5-6 the second name and 7 the rest of an
+# edge chain; 8 the attribute list; 9 the closing brace at the end of the
+# text; 10 the rest of a text the reader hands to the token walk. Group 9
+# or 10 is in the last match only.
 _STATEMENT = re.compile(
     rf"""\s*(?:
       (?:((?ai:graph|node|edge)){_WORD_END}(?=\s*\[)
@@ -105,18 +107,18 @@ _STATEMENT = re.compile(
         {_NAME_GROUPS}
         (?:\s*(->)\s*{_NAME_GROUPS}((?:\s*->\s*{_NAME})*))?
       )
-      (?:\s*\[([^\]]*)\](?=[\s;}}])
-      | \s*\[([^\]"]*(?:"{_STRING_BODY}"[^\]"]*)*)\]
-      )?
+      (?:\s*\[([^\]]*(?=\][\s;}}])|[^\]"]*(?:"{_STRING_BODY}"[^\]"]*)*)\])?
     | (\}}\s*\Z)
     | (.+)
     )\s*;?""",
     re.VERBOSE | re.DOTALL,
 )
-# These read what _STATEMENT has found: an attribute list, checked whole and
-# split into pairs, and the rest of an edge chain, split into names.
-_ATTR_LIST = re.compile(rf"[\s,;]*(?:{_NAME}\s*=\s*{_NAME}[\s,;]*)*", re.DOTALL)
-_PAIR = re.compile(rf"{_NAME_GROUPS}\s*=\s*{_NAME_GROUPS}", re.DOTALL)
+# These read what _STATEMENT has found: an attribute list, one pair per
+# match after any separators, and the rest of an edge chain, split into
+# names. _PAIR's group 5 is a character that starts neither a pair nor a
+# separator, so a text is an attribute list just when no match has it.
+_PAIR = re.compile(rf"[\s,;]*(?:{_NAME_GROUPS}\s*=\s*{_NAME_GROUPS}|([^\s,;]))", re.DOTALL)
+_OTHER = operator.itemgetter(4)  # a _PAIR match's group 5
 _CHAIN = re.compile(_NAME_GROUPS, re.DOTALL)
 
 
@@ -128,12 +130,13 @@ _CACHE_SIZE = 1 << 14
 def _attributes(attr_list: str) -> dict[str, str] | None:
     """The dict of an attribute list's raw text, shared and read-only, or
     None where the text is not an attribute list."""
-    if _ATTR_LIST.fullmatch(attr_list) is None:
+    pairs = _PAIR.findall(attr_list)
+    if any(map(_OTHER, pairs)):
         return None
     unescape = _unescape if "\\" in attr_list else str
     return {
         unescape(key_str or key_id): unescape(value_str or value_id)
-        for key_str, key_id, value_str, value_id in _PAIR.findall(attr_list)
+        for key_str, key_id, value_str, value_id, _ in pairs
     }
 
 
@@ -287,15 +290,15 @@ def _read_statements(text: str) -> _Digraph | None:
     if head is None:
         return None
     statements = _STATEMENT.findall(text, head.end())
-    if not statements or not statements[-1][9]:  # no closing brace (group 10)
+    if not statements or not statements[-1][8]:  # no closing brace (group 9)
         return None
     # Only a text with a backslash has anything to unescape.
     unescape = _unescape if "\\" in text else str
     name_str, name_id = head.groups("")
     graph = _Digraph(unescape(name_str or name_id))
     nodes, edges = graph.nodes, graph.edges
-    for default, a_str, a_id, arrow, b_str, b_id, rest, bare, quoted, _, _ in statements[:-1]:
-        attrs = _attributes(bare or quoted)
+    for default, a_str, a_id, arrow, b_str, b_id, rest, attr_list, _, _ in statements[:-1]:
+        attrs = _attributes(attr_list)
         if attrs is None:
             return None
         if default:
