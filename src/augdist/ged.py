@@ -1,11 +1,12 @@
 """Graph edit distance between usage graphs.
 
 Two route families over a shared cost model: an exact-leaning depth-first
-branch-and-bound search over node mappings with admissible pruning and a
-wall-clock deadline, and the bipartite node-assignment approximation of
-Riesen & Bunke (2009), node costs only. The approximation's cost is a closed
-form over each graph's node-class counts (``AUG.node_class_counts``, counted
-once per graph); only its pairs need ``_assign``.
+branch-and-bound search over node mappings, which tries children by cost
+plus admissible bound under a wall-clock deadline, and the bipartite
+node-assignment approximation of Riesen & Bunke (2009), node costs only.
+The approximation's cost is a closed form over each graph's node-class
+counts (``AUG.node_class_counts``, counted once per graph); only its pairs
+need ``_assign``.
 
 Nodes and edges share one assignment, ``_assign``, which needs no solver. A
 partial matching of n items against m costs ``n·delete + m·insert + Σ
@@ -144,7 +145,6 @@ class SourceTables(NamedTuple):
     # Deciding node i settles its loops and its edges with its earlier
     # neighbours, ``settled[i]`` edges.
     earlier: tuple[tuple[int, ...], ...]
-    earlier_set: tuple[frozenset[int], ...]
     settled: tuple[int, ...]
     # At depth d the source edges left to charge are those with a node >= d.
     # anchored[d][u], for each u < d: the sorted labels of u's edges to and
@@ -192,7 +192,6 @@ def source_tables(graph: AUG) -> SourceTables:
         ins[j].append((i, x))
     return SourceTables(
         earlier=earlier,
-        earlier_set=tuple(map(frozenset, earlier)),
         settled=tuple(
             len(edges[i][i]) + sum(len(edges[i][j]) + len(edges[j][i]) for j in before)
             for i, before in enumerate(earlier)
@@ -253,10 +252,10 @@ class _MappingSearch:
     """Depth-first branch-and-bound over node mappings.
 
     Nodes of ``a`` are decided in ascending-id order; each is matched to an
-    unused node of ``b`` (candidates in ascending id order) or deleted, with
-    insertion of leftover ``b`` nodes at the leaves. Edge costs are charged
-    when the second endpoint of an edge is decided, so the accumulated cost
-    of a partial mapping covers exactly the edges whose fate is fixed.
+    unused node of ``b`` or deleted, with insertion of leftover ``b`` nodes
+    at the leaves. Edge costs are charged when the second endpoint of an
+    edge is decided, so the accumulated cost of a partial mapping covers
+    exactly the edges whose fate is fixed.
 
     The per-graph tables come from ``AUG.search_tables`` (both graphs) and
     ``AUG.source_tables`` (``a`` only), and the class counts from
@@ -293,11 +292,11 @@ class _MappingSearch:
     changes and assigns them back on backtrack. Both bounds underestimate,
     so a search that runs to completion is exact.
 
-    Pruning starts at the root: before the first expansion, ``best`` holds
-    the cost the search itself charges for the mapping of ``_assign`` over
-    the node classes (unpaired nodes deleted or inserted), summed in the
-    order the search would sum it. A leaf replaces it only if strictly
-    cheaper.
+    ``best`` starts at the cost the search charges for ``_assign``'s class
+    pairing. Each node bounds all its children, a deletion among them, then
+    expands them by ascending cost plus bound until that sum reaches
+    ``best``, so the first descent is a greedy dive (as in DF-GED, Abu-Aisheh
+    et al. 2015). A leaf replaces ``best`` only if strictly cheaper.
     """
 
     def __init__(self, a: AUG, b: AUG, cm: CostModel, deadline: float) -> None:
@@ -311,8 +310,8 @@ class _MappingSearch:
         ta, tb, sa = a.search_tables, b.search_tables, a.source_tables
         self.pair_cost = _pair_costs(cm)
         self.edges_a, self.edges_b = ta.edges, tb.edges
-        self.earlier_a, self.earlier_set_a, self.settled_a = sa.earlier, sa.earlier_set, sa.settled
-        self.anchored_a, self.among_a = sa.anchored, sa.among
+        self.earlier_a, self.anchored_a, self.among_a = sa.earlier, sa.anchored, sa.among
+        self.delete_a = [cm.node_delete + cm.edge_delete * settled for settled in sa.settled]
         self.links_b, self.arcs_b = tb.links, tb.arcs
         self.key_a, self.key_b = ta.keys, tb.keys
 
@@ -340,14 +339,14 @@ class _MappingSearch:
 
     def run(self) -> GedResult:
         self._seed()
+        self.bound = self._bound(0)
         try:
             self._dfs(0, 0.0)
             complete = True
         except _DeadlineHit:
             complete = False
         assert self.best_assign is not None
-        mapping = self._mapping_ids(self.best_assign)
-        return GedResult(self.best, complete, mapping)
+        return GedResult(self.best, complete, self._mapping_ids(self.best_assign))
 
     def _seed(self) -> None:
         """Walk the class-greedy node pairing down to its leaf as the search
@@ -355,26 +354,14 @@ class _MappingSearch:
         cm = self.cm
         costs = (cm.node_retype, cm.node_relabel, 0.0)
         image = dict(_assign(self.key_a, self.key_b, costs, cm.node_delete, cm.node_insert)[1])
-        cost = 0.0
+        cost, taken = 0.0, []
         for i in range(self.n):
             k = image.get(i, _DELETED)
-            if k == _DELETED:
-                cost += cm.node_delete + cm.edge_delete * self.settled_a[i]
-                continue
-            cost += self._substitute_delta(i, k)
-            self.assign[i] = k
-            self.used[k] = True
-            self.preimage[k] = i
-        matched_b = image.values()
-        settled_b = sum(len(self.edges_b[k][l]) for k in matched_b for l in matched_b)
-        self.matched = len(image)
-        self.rest_b_total -= settled_b
+            cost += self.delete_a[i] if k == _DELETED else self._substitute_delta(i, k)
+            taken.append((i, k, self._take(i, k)))
         self._leaf(cost)
-        for i, k in image.items():
-            self.assign[i] = _DELETED
-            self.used[k] = False
-        self.matched = 0
-        self.rest_b_total += settled_b
+        for step in reversed(taken):
+            self._give_back(*step)
 
     def _mapping_ids(
         self, assign: list[int]
@@ -399,9 +386,9 @@ class _MappingSearch:
                 delta += pair_cost(ea[j][i], eb[l][k])
         # The other used neighbours' preimages share no edge with i, so their
         # edges with k are inserted.
-        adjacent, used, preimage = self.earlier_set_a[i], self.used, self.preimage
+        used, preimage = self.used, self.preimage
         for l, pair in self.links_b[k]:
-            if used[l] and preimage[l] not in adjacent:
+            if used[l] and not (ea[i][j := preimage[l]] or ea[j][i]):
                 delta += self.cm.edge_insert * len(pair)
         delta += pair_cost(ea[i][i], eb[k][k])
         return delta
@@ -431,6 +418,8 @@ class _MappingSearch:
         hold edges. A decided node whose four blocks are all empty is not
         priced: its sum would be exactly 0.0, so the bound is the same float.
         """
+        if depth == self.n:  # a leaf: exactly what ``_leaf`` adds
+            return self._node_bound(depth) + self.cm.edge_insert * self.rest_b_total
         used = self.used
         out_b: dict[int, list[str]] = {}
         in_b: dict[int, list[str]] = {}
@@ -466,13 +455,48 @@ class _MappingSearch:
             self.best = total
             self.best_assign = list(self.assign)
 
+    def _take(self, i: int, k: int) -> tuple[int, int, int]:
+        """Map source node ``i`` to target node ``k``; a deletion (``k`` is
+        ``_DELETED``) changes nothing. Returns what ``_give_back`` restores."""
+        saved = self.full, self.typed, self.rest_b_total
+        if k != _DELETED:
+            used, classes, types = self.used, self.class_surplus, self.type_surplus
+            self.assign[i] = k
+            used[k] = True
+            self.preimage[k] = i
+            self.matched += 1
+            key = self.key_b[k]
+            classes[key] += 1
+            if classes[key] > 0:
+                self.full -= 1
+            types[key[0]] += 1
+            if types[key[0]] > 0:
+                self.typed -= 1
+            self.rest_b_total -= len(self.edges_b[k][k])
+            for l, pair in self.links_b[k]:
+                if used[l]:
+                    self.rest_b_total -= len(pair)
+        return saved
+
+    def _give_back(self, i: int, k: int, saved: tuple[int, int, int]) -> None:
+        """Undo ``_take(i, k)``, the last step taken, which returned ``saved``."""
+        if k != _DELETED:
+            key = self.key_b[k]
+            self.class_surplus[key] -= 1
+            self.type_surplus[key[0]] -= 1
+            self.matched -= 1
+            self.used[k] = False
+            self.assign[i] = _DELETED
+        self.full, self.typed, self.rest_b_total = saved
+
     def _dfs(self, depth: int, cost: float) -> None:
+        """Expand a partial mapping whose ``_bound`` is in ``self.bound``."""
         if time.monotonic() > self.deadline:
             raise _DeadlineHit
         if depth == self.n:
             self._leaf(cost)
             return
-        if cost + self._bound(depth) >= self.best:
+        if cost + self.bound >= self.best:
             return
 
         # Node i leaves the undecided source nodes: a source count drops.
@@ -488,45 +512,21 @@ class _MappingSearch:
         if types[kind] < 0:
             self.typed -= 1
 
-        for k in range(self.m):
-            if used[k]:
-                continue
-            new_cost = cost + self._substitute_delta(i, k)
-            if new_cost >= self.best:
-                continue
-            # Node k leaves the unused target nodes, its settled edges the
-            # uncharged ones: a target count drops.
-            self.assign[i] = k
-            used[k] = True
-            self.preimage[k] = i
-            self.matched += 1
-            key_b = self.key_b[k]
-            kind_b = key_b[0]
-            saved_b = self.full, self.typed, self.rest_b_total
-            classes[key_b] += 1
-            if classes[key_b] > 0:
-                self.full -= 1
-            types[kind_b] += 1
-            if types[kind_b] > 0:
-                self.typed -= 1
-            self.rest_b_total -= len(self.edges_b[k][k])
-            for l, pair in self.links_b[k]:
-                if used[l]:
-                    self.rest_b_total -= len(pair)
-
+        children, delete = [], self.delete_a[i]
+        for k in [k for k in range(self.m) if not used[k]] + [_DELETED]:
+            new_cost = cost + (delete if k == _DELETED else self._substitute_delta(i, k))
+            if new_cost < self.best:
+                saved_b = self._take(i, k)
+                bound = self._bound(depth + 1)
+                self._give_back(i, k, saved_b)
+                children.append((new_cost + bound, new_cost, k, bound))
+        children.sort()
+        for total, new_cost, k, self.bound in children:
+            if total >= self.best:
+                break
+            saved_b = self._take(i, k)
             self._dfs(depth + 1, new_cost)
-
-            types[kind_b] -= 1
-            classes[key_b] -= 1
-            self.full, self.typed, self.rest_b_total = saved_b
-            self.matched -= 1
-            used[k] = False
-            self.assign[i] = _DELETED
-
-        new_cost = cost + (self.cm.node_delete + self.cm.edge_delete * self.settled_a[i])
-        if new_cost < self.best:
-            self.assign[i] = _DELETED
-            self._dfs(depth + 1, new_cost)
+            self._give_back(i, k, saved_b)
 
         types[kind] += 1
         classes[key] += 1

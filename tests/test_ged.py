@@ -366,6 +366,21 @@ class TestSearchMatchesMilpOracle:
             assert result.cost == milp_ged(side, entry, cm)
             _assert_valid_mapping(side, entry, result, cm)
 
+    def test_corpus_shape_searches_stay_within_an_expansion_budget(self, tmp_path):
+        # The same ten pairs. Children tried by cost plus bound make the
+        # first descent reach a cheap leaf and prune the rest near where it
+        # branches. Tried in id order, these searches take 430 to 49,975
+        # expansions each, so the budget catches an order that is lost.
+        corpus = write_seed_corpus("wide-corpus", tmp_path)
+        sides = [side for rule in load_rules(corpus / "rules") for side in (rule.misuse, rule.fix)]
+        entries = [entry for entry in load_corpus(corpus).correct if entry.node_count >= 20][:10]
+        cm = default_cost_model()
+        for index, entry in enumerate(entries):
+            side = sides[index % len(sides)]
+            result, expansions = _counted_search(_MappingSearch, side, entry, cm)
+            assert result.complete
+            assert expansions <= 10 * (side.node_count + 1), (side.name, entry.name, expansions)
+
 
 class TestHungarian:
     def test_identical_graphs_cost_zero(self):
