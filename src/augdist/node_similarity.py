@@ -18,7 +18,8 @@ others' rows of ``S`` makes them one graph, their disjoint union, whose
 edge pairs with ``a`` never join two of the stacked blocks. A step is then
 one gather and one ``bincount`` for the whole batch, each block's norm and
 even-iterate difference is an ``np.add.reduceat`` over its segment of
-``S.ravel()``, and a block leaves the batch at the step that settles it.
+``S.ravel()``. Every block stays in the system until the slowest one
+settles, and a block's result is taken at the even step that settles it.
 Each block's iterates are the same floats whatever else is in the batch,
 so the pair form, ``similarity_matrix``, is a batch of one. They are the
 dense products' iterates up to the order in which each entry's terms and
@@ -60,7 +61,8 @@ DEFAULT_MAX_ITER = 100
 
 # Most edge-pair entries stacked into one batch. The batch's index and
 # weight arrays grow with it; at this size they add about 1 MiB while the
-# steps' interpreter overhead is already shared by tens of pairs.
+# steps' interpreter overhead is already shared by tens of pairs. A batch
+# runs until its slowest block settles, so the cap also bounds that wait.
 _MAX_STACKED_EDGE_PAIRS = 1 << 14
 
 
@@ -94,55 +96,38 @@ def edge_positions(graph: AUG) -> EdgePositions:
     return sources, targets
 
 
-def _edge_pair_operator(
-    a: AUG, sources_b: np.ndarray, targets_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the vec-form update ``A⊗B + Aᵀ⊗Bᵀ`` over ``S.ravel()``.
-
-    ``sources_b``/``targets_b`` are the rows of b's edges in ``S``. Each
-    nonzero of the operator is one ``b`` edge ``x -> p`` times one ``a`` edge
-    ``y -> q``: the forward term ``B S Aᵀ`` adds ``S[p, q]`` into ``[x, y]``
-    and the backward term ``Bᵀ S A`` adds ``S[x, y]`` into ``[p, q]``. A
-    step is then ``bincount(into, weights=S.ravel()[from_])``.
-    """
-    import numpy as np
-
-    sources_a, targets_a = a.edge_positions
-    width = a.node_count
-    forward_into = (sources_b[:, None] * width + sources_a).ravel()
-    forward_from = (targets_b[:, None] * width + targets_a).ravel()
-    return (
-        np.concatenate((forward_into, forward_from)),
-        np.concatenate((forward_from, forward_into)),
-    )
-
-
 def _iterate(
     a: AUG, batch: Sequence[AUG], tol: float, max_iter: int
 ) -> list[SimilarityMatrix | None]:
     """Each graph of ``batch`` iterated against ``a`` as one stacked system.
 
-    ``S`` stacks one block of rows per live pair. When pairs leave, the
-    blocks below move up over their rows and the operator is rebuilt from
-    the remaining ``b`` edges.
+    ``S`` stacks one block of rows per pair, and the vec-form update
+    ``A⊗B + Aᵀ⊗Bᵀ`` over ``S.ravel()`` is built once, as index arrays. Each
+    nonzero is one ``b`` edge ``x -> p`` times one ``a`` edge ``y -> q``:
+    the forward term ``B S Aᵀ`` adds ``S[p, q]`` into ``[x, y]`` and the
+    backward term ``Bᵀ S A`` adds ``S[x, y]`` into ``[p, q]``. A step is
+    then ``bincount(into, weights=S.ravel()[from_])``.
     """
     import numpy as np
 
     width = a.node_count
     heights = np.array([b.node_count for b in batch])
     edge_counts = np.array([len(b.edge_positions[0]) for b in batch])
-    owners = np.repeat(np.arange(len(batch)), edge_counts)  # live position per b edge
-    first_rows = (np.cumsum(heights) - heights)[owners]
+    first_rows = np.repeat(np.cumsum(heights) - heights, edge_counts)
     sources_b = np.concatenate([b.edge_positions[0] for b in batch]) + first_rows
     targets_b = np.concatenate([b.edge_positions[1] for b in batch]) + first_rows
-    into, from_ = _edge_pair_operator(a, sources_b, targets_b)
-    live = np.arange(len(batch))  # batch index per live pair
+    sources_a, targets_a = a.edge_positions
+    forward_into = (sources_b[:, None] * width + sources_a).ravel()
+    forward_from = (targets_b[:, None] * width + targets_a).ravel()
+    into = np.concatenate((forward_into, forward_from))
+    from_ = np.concatenate((forward_from, forward_into))
     sizes = heights * width
     starts = np.cumsum(sizes) - sizes
     # each block starts as the all-ones matrix over its own norm
     current = np.repeat(1.0 / np.sqrt(sizes), sizes)
     previous_even = current
     results: list[SimilarityMatrix | None] = [None] * len(batch)
+    unsettled = len(batch)
 
     for iteration in range(1, max_iter + 1):
         update = np.bincount(into, weights=current[from_], minlength=current.size)
@@ -153,29 +138,14 @@ def _iterate(
         delta = current - previous_even
         converged = np.sqrt(np.add.reduceat(delta * delta, starts)) < tol
         previous_even = current
-        leaving = converged | (iteration == max_iter)
-        if not leaving.any():
-            continue
-
-        for position in np.flatnonzero(leaving):
-            block = current[starts[position] : starts[position] + sizes[position]]
-            results[live[position]] = SimilarityMatrix(
-                block.reshape(heights[position], width).copy(),
-                iteration,
-                bool(converged[position]),
-            )
-        keep = ~leaving
-        if not keep.any():
+        for position in np.flatnonzero(converged | (iteration == max_iter)):
+            if results[position] is None:
+                block = current[starts[position] : starts[position] + sizes[position]]
+                entries = block.reshape(heights[position], width).copy()
+                results[position] = SimilarityMatrix(entries, iteration, bool(converged[position]))
+                unsettled -= 1
+        if not unsettled:
             break
-        edge_kept = keep[owners]
-        owners = (np.cumsum(keep) - 1)[owners[edge_kept]]
-        rows_up = np.cumsum(heights * leaving)[keep][owners]
-        sources_b = sources_b[edge_kept] - rows_up
-        targets_b = targets_b[edge_kept] - rows_up
-        into, from_ = _edge_pair_operator(a, sources_b, targets_b)
-        current = previous_even = current[np.repeat(keep, sizes)]
-        live, heights, sizes = live[keep], heights[keep], sizes[keep]
-        starts = np.cumsum(sizes) - sizes
     return results
 
 

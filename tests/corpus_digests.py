@@ -28,10 +28,10 @@ REGENERATE = "python3 tools/regen_goldens.py"
 SEED = 5
 WORKLOADS = ("many-rules", "small-search", "wide-corpus")
 REPORTS = ("applicability.csv", "detection.csv")
-SEARCH_WORKLOADS = WORKLOADS
 
 
-def _bench_workloads():
+def bench_workloads():
+    """``bench/workloads.py``, loaded under a name of its own."""
     spec = importlib.util.spec_from_file_location(
         "_bench_workloads", ROOT / "bench" / "workloads.py"
     )
@@ -56,18 +56,12 @@ class _FallbackTotals(logging.Handler):
 
 def write_seed_corpus(workload: str, directory: Path) -> Path:
     """Write ``workload``'s seed-5 corpus to ``directory / workload`` and return that path."""
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     corpus = directory / workload
     workloads.write_corpus(
         workloads.make_corpus(workloads.SHAPES[workload], SEED, workload), corpus
     )
     return corpus
-
-
-def algorithms(workload: str) -> tuple[str, ...]:
-    if workload in SEARCH_WORKLOADS:
-        return ALGORITHMS
-    return tuple(algorithm for algorithm in ALGORITHMS if algorithm != "astar-ged")
 
 
 def workload_digests(workload: str, directory: Path) -> dict[str, dict[str, object]]:
@@ -78,7 +72,7 @@ def workload_digests(workload: str, directory: Path) -> dict[str, dict[str, obje
     corpus = write_seed_corpus(workload, directory)
     cli_logger = logging.getLogger("augdist.cli")
     digests: dict[str, dict[str, object]] = {}
-    for algorithm in algorithms(workload):
+    for algorithm in ALGORITHMS:
         out = directory / f"{workload}-{algorithm}"
         totals = _FallbackTotals()
         cli_logger.addHandler(totals)

@@ -526,6 +526,12 @@ class TestCmdEvaluate:
         assert code == EXIT_PARSE
         assert "labels.csv" in capsys.readouterr().err
 
+    def test_missing_rules_directory_exits_2(self, tmp_path, capsys):
+        rules = tmp_path / "rules"
+        code = main(["evaluate", str(rules), str(CORPUS), "-a", "exas-l1", "-o", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: missing rules directory {rules}\n"
+
     def test_duplicate_manifest_entry_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(CORPUS, corpus)

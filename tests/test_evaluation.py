@@ -4,6 +4,7 @@ import pytest
 
 from augdist import (
     AUG,
+    CorpusLayoutError,
     Dataset,
     DegenerateStructureError,
     EmptyGraphError,
@@ -125,7 +126,42 @@ class TestLoadRules:
         assert warning == f"skipping rule file x.dot: graph 'x/{empty_side}' has no nodes"
 
 
+def _write_entry(directory, name, graph_name=None):
+    (directory / f"{name}.dot").write_text(
+        f'digraph "{graph_name or name}" {{ n [label="A.m()", type="action", api="p.A"]; }}\n',
+        encoding="utf-8",
+    )
+
+
 class TestLoadCorpus:
+    @pytest.mark.parametrize("header", ["name", "name,label,note", "id,label"])
+    def test_manifest_without_exactly_name_and_label_rejected(self, tmp_path, header):
+        (tmp_path / "labels.csv").write_text(f"{header}\n", encoding="utf-8")
+        with pytest.raises(CorpusLayoutError, match="exactly the columns 'name' and 'label'"):
+            load_corpus(tmp_path)
+
+    def test_unknown_label_rejected_naming_the_entry(self, tmp_path):
+        (tmp_path / "labels.csv").write_text(
+            "name,label\nc1,correct\nm1,buggy\n", encoding="utf-8"
+        )
+        for name in ("c1", "m1"):
+            _write_entry(tmp_path, name)
+        with pytest.raises(CorpusLayoutError, match="entry 'm1' has unknown label 'buggy'"):
+            load_corpus(tmp_path)
+
+    def test_entry_takes_its_manifest_name(self, tmp_path):
+        # both files name their graph "shared"; the manifest names tell them apart
+        (tmp_path / "labels.csv").write_text(
+            "name,label\nc1,correct\nm1,misuse\n", encoding="utf-8"
+        )
+        for name in ("c1", "m1"):
+            _write_entry(tmp_path, name, graph_name="shared")
+        dataset = load_corpus(tmp_path)
+        assert [g.name for g in dataset.correct] == ["c1"]
+        assert [g.name for g in dataset.misuse] == ["m1"]
+        assert dataset.without("c1").correct == ()
+        assert dataset.without("shared") == dataset
+
     def test_entry_without_nodes_skipped(self, tmp_path, caplog):
         (tmp_path / "labels.csv").write_text(
             "name,label\nhollow,correct\nc1,correct\nm1,misuse\n", encoding="utf-8"

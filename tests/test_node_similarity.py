@@ -161,6 +161,24 @@ def _graphs(draw, name):
     return AUG(name, nodes, edges)
 
 
+def _numbered(name, node_count, edges):
+    """Nodes ``n0``, ``n1``, ... and an ``order`` edge per (source, target)."""
+    return aug(
+        name,
+        [(f"n{i}", "L", "action") for i in range(node_count)],
+        [(source, target, "order") for source, target in edges],
+    )
+
+
+# Against MIXED_SIDE, SETTLES_AT_2 converges at step 2 and CAPPED_AT_100 is
+# still moving at step 100: one batch whose blocks settle far apart, a mix
+# that random batches rarely draw.
+MIXED_SIDE = _numbered("a", 3, [("n0", "n1"), ("n2", "n0")])
+SETTLES_AT_2 = _numbered("b", 1, [("n0", "n0")] * 4)
+CAPPED_AT_100 = _numbered("b", 3, [("n1", "n2"), ("n0", "n2"), ("n2", "n0")])
+MIXED_BATCH = [SETTLES_AT_2, CAPPED_AT_100]
+
+
 def _empty_memo():
     """The process-wide memo of solved pairs, emptied for the block and
     restored after it, so that the block iterates every pair it meets."""
@@ -214,6 +232,9 @@ class TestManyToManyMatchesPerPair:
         st.sampled_from([1, 200, node_similarity._MAX_STACKED_EDGE_PAIRS]),
     )
     @example(aug("l", [("n", "A", "data", "")]), [SINGLE_EDGE_B, SINGLE_EDGE_A], 100, 1)
+    @example(MIXED_SIDE, MIXED_BATCH, 100, 1)
+    @example(MIXED_SIDE, MIXED_BATCH, 100, 200)
+    @example(MIXED_SIDE, MIXED_BATCH, 100, node_similarity._MAX_STACKED_EDGE_PAIRS)
     def test_same_values_nones_and_caps(self, side, others, max_iter, cap):
         fallbacks.take()
         with _empty_memo(), mock.patch.object(node_similarity, "_MAX_STACKED_EDGE_PAIRS", cap):

@@ -3,8 +3,8 @@
 
     python3 tools/search_probe.py --workload wide-corpus --seed 5
 
-The corpus comes from ``bench/workloads.py``, which the tool only reads (as
-``tests/corpus_digests.py`` does), written to a temporary directory. Each
+The corpus comes from ``bench/workloads.py``, which the tool only reads
+(through ``tests/corpus_digests.py``), written to a temporary directory. Each
 rule side is searched against each distinct entry search content once, at
 the default deadline, as ``augdist evaluate`` does. Prints the pairs, the
 distinct searches, their total, median, p95 and max seconds, and the share
@@ -12,7 +12,6 @@ that completed.
 """
 
 import argparse
-import importlib.util
 import statistics
 import sys
 import tempfile
@@ -21,22 +20,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from augdist import ged_astar, load_corpus, load_rules  # noqa: E402
-
-
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "_bench_workloads", ROOT / "bench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+from corpus_digests import bench_workloads  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> None:
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.SHAPES))
     parser.add_argument("--seed", type=int, default=5)
