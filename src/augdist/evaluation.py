@@ -290,7 +290,7 @@ def load_corpus(corpus_dir: Path) -> Dataset:
             columns, rows = reader.fieldnames, list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CorpusLayoutError(f"cannot read {manifest}: {exc}") from exc
-    if columns is None or set(columns) != {"name", "label"}:
+    if columns is None or sorted(columns) != ["label", "name"]:
         raise CorpusLayoutError(
             f"{manifest} must have exactly the columns 'name' and 'label'"
         )
@@ -322,12 +322,15 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
 
     An unnamed rule, whose sides ``parse_rule`` names ``/misuse`` and
     ``/fix``, takes its file's stem as its name and as their prefix; a
-    warning about a side with no nodes names the side that way too.
+    warning about a side with no nodes names the side that way too. Two
+    files that name one rule raise ``CorpusLayoutError``, since the reports
+    could not tell their rows apart.
     """
     rules_dir = Path(rules_dir)
     if not rules_dir.is_dir():
         raise CorpusLayoutError(f"missing rules directory {rules_dir}")
     rules: list[CorrectionRule] = []
+    files: dict[str, Path] = {}  # rule name -> the file that named it
     for path in sorted(rules_dir.glob("*.dot")):
         try:
             rule = parse_rule(path.read_text(encoding="utf-8-sig"))
@@ -342,6 +345,11 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
                 name=path.stem,
                 misuse=replace(rule.misuse, name=f"{path.stem}/misuse"),
                 fix=replace(rule.fix, name=f"{path.stem}/fix"),
+            )
+        first = files.setdefault(rule.name, path)
+        if first != path:
+            raise CorpusLayoutError(
+                f"{first.name} and {path.name} both name the rule {rule.name!r}"
             )
         rules.append(rule)
     return rules

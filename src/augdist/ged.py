@@ -225,17 +225,21 @@ def _overlap(counts_a: dict, counts_b: dict) -> int:
     return overlap
 
 
+def _node_costs(cm: CostModel) -> tuple[float, float, float]:
+    """``cm.node_substitute`` by the length of the class-key prefix two
+    nodes share: 0 (nothing), 1 (the type) or 2 (type and label). The search
+    and the node assignments read node substitution prices only here."""
+    return (cm.node_retype, cm.node_relabel, 0.0)
+
+
 def _node_gains(cm: CostModel) -> tuple[float, float, float]:
     """``_assign``'s node gains, clamped at 0: what substituting two nodes
     of one (type, label) class, of one type only, or of neither costs more
     than deleting one and inserting the other, computed as ``_assign``
     computes them."""
+    retype, relabel, same = _node_costs(cm)
     spare = cm.node_delete + cm.node_insert
-    return (
-        min(0.0 - spare, 0.0),
-        min(cm.node_relabel - spare, 0.0),
-        min(cm.node_retype - spare, 0.0),
-    )
+    return (min(same - spare, 0.0), min(relabel - spare, 0.0), min(retype - spare, 0.0))
 
 
 @functools.lru_cache(maxsize=4)
@@ -265,7 +269,7 @@ class _MappingSearch:
     ``a`` is always decided at depth ``i``, so the ``a`` edges
     that deciding it settles (those with earlier nodes, and its loops) are
     fixed up front; only ``b``'s settled edges depend on the mapping. A
-    search builds only its substitution matrix and two surplus dicts.
+    search builds only two surplus dicts.
 
     The remaining cost is bounded from below by the exact cost of
     ``_assign`` over (a) the undecided source nodes against the unused
@@ -315,12 +319,7 @@ class _MappingSearch:
         self.links_b, self.arcs_b = tb.links, tb.arcs
         self.key_a, self.key_b = ta.keys, tb.keys
 
-        # ``cm.node_substitute`` of each node pair, from their class keys
-        relabel, retype = cm.node_relabel, cm.node_retype
-        self.sub = [
-            [0.0 if u == v else relabel if u[0] == v[0] else retype for v in tb.keys]
-            for u in ta.keys
-        ]
+        self.node_costs = _node_costs(cm)
         self.gain_full, self.gain_typed, self.gain_any = _node_gains(cm)
         # The source counts are of the undecided nodes, the target counts of
         # the unused nodes.
@@ -352,8 +351,8 @@ class _MappingSearch:
         """Walk the class-greedy node pairing down to its leaf as the search
         would, so ``best`` starts at the cost the search charges for it."""
         cm = self.cm
-        costs = (cm.node_retype, cm.node_relabel, 0.0)
-        image = dict(_assign(self.key_a, self.key_b, costs, cm.node_delete, cm.node_insert)[1])
+        pairs = _assign(self.key_a, self.key_b, self.node_costs, cm.node_delete, cm.node_insert)[1]
+        image = dict(pairs)
         cost, taken = 0.0, []
         for i in range(self.n):
             k = image.get(i, _DELETED)
@@ -376,7 +375,8 @@ class _MappingSearch:
 
     def _substitute_delta(self, i: int, k: int) -> float:
         ea, eb, pair_cost, assign = self.edges_a, self.edges_b, self.pair_cost, self.assign
-        delta = self.sub[i][k]
+        u, v = self.key_a[i], self.key_b[k]
+        delta = self.node_costs[(u[0] == v[0]) + (u == v)]
         for j in self.earlier_a[i]:
             l = assign[j]
             if l == _DELETED:
@@ -691,8 +691,7 @@ def hungarian_assignment(
     cm = cost_model or default_cost_model()
     a_nodes, b_nodes = a.nodes_in_id_order, b.nodes_in_id_order
     keys_a, keys_b = ([(u.node_type, u.label) for u in nodes] for nodes in (a_nodes, b_nodes))
-    costs = (cm.node_retype, cm.node_relabel, 0.0)
-    cost, pairs = _assign(keys_a, keys_b, costs, cm.node_delete, cm.node_insert)
+    cost, pairs = _assign(keys_a, keys_b, _node_costs(cm), cm.node_delete, cm.node_insert)
     return cost, [(a_nodes[i].id, b_nodes[k].id) for i, k in pairs]
 
 

@@ -553,6 +553,19 @@ class TestCmdEvaluate:
         assert code == EXIT_PARSE
         assert "duplicate" in capsys.readouterr().err
 
+    def test_two_rule_files_naming_one_rule_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS, corpus)
+        rules = corpus / "rules"
+        shutil.copyfile(rules / "rule_iter.dot", rules / "rule_iter_copy.dot")
+        out = tmp_path / "o"
+        code = main(["evaluate", str(rules), str(corpus), "-a", "exas-l1", "-o", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: rule_iter.dot and rule_iter_copy.dot both name the rule 'rule_iter'\n"
+        )
+        assert not out.exists()
+
     def test_manifest_not_utf8_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(CORPUS, corpus)

@@ -110,6 +110,22 @@ class TestLoadRules:
         (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warning.startswith("skipping rule") and "hollow" in warning
 
+    def test_two_files_naming_one_rule_rejected(self, tmp_path):
+        rules_dir = tmp_path / "rules"
+        rules_dir.mkdir()
+        for stem in ("a_first", "b_copy"):
+            (rules_dir / f"{stem}.dot").write_text(
+                'digraph "shared" {\n'
+                '  m [label="A.m()", type="action", api="p.A", part="misuse"];\n'
+                '  f [label="A.m()", type="action", api="p.A", part="fix"];\n'
+                "}\n",
+                encoding="utf-8",
+            )
+        with pytest.raises(
+            CorpusLayoutError, match="a_first.dot and b_copy.dot both name the rule 'shared'"
+        ):
+            load_rules(rules_dir)
+
     @pytest.mark.parametrize("empty_side", ["misuse", "fix"])
     def test_unnamed_rule_with_an_empty_side_warned_by_file_stem(self, tmp_path, caplog, empty_side):
         kept = "fix" if empty_side == "misuse" else "misuse"
@@ -134,7 +150,7 @@ def _write_entry(directory, name, graph_name=None):
 
 
 class TestLoadCorpus:
-    @pytest.mark.parametrize("header", ["name", "name,label,note", "id,label"])
+    @pytest.mark.parametrize("header", ["name", "name,label,note", "id,label", "name,label,label"])
     def test_manifest_without_exactly_name_and_label_rejected(self, tmp_path, header):
         (tmp_path / "labels.csv").write_text(f"{header}\n", encoding="utf-8")
         with pytest.raises(CorpusLayoutError, match="exactly the columns 'name' and 'label'"):

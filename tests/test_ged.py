@@ -636,6 +636,27 @@ class TestNodeBoundIsTheAssignment:
                 assert abs(bound - expected) <= tolerance
 
 
+class TestSearchNodePriceIsTheModels:
+    """The price the search charges for substituting one node for another
+    is ``CostModel.node_substitute``'s."""
+
+    NODES = [
+        (label, node_type) for node_type in ("action", "data") for label in ("A", "B")
+    ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(drawn=_class_cost_models(costs=_TENTHS))
+    def test_one_node_pairs(self, drawn):
+        for cm in (default_cost_model(), mcs_cost_model(), drawn):
+            for label_a, type_a in self.NODES:
+                for label_b, type_b in self.NODES:
+                    a = aug("a", [("n", label_a, type_a)])
+                    b = aug("b", [("n", label_b, type_b)])
+                    search = _MappingSearch(a, b, cm, time.monotonic() + 60.0)
+                    expected = cm.node_substitute(a.nodes[0], b.nodes[0])
+                    assert search._substitute_delta(0, 0) == expected
+
+
 class _StateChecked(_MappingSearch):
     """A search that checks its running counts against a from-scratch count
     of the undecided and unused nodes and the uncharged target edges at
