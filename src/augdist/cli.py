@@ -31,6 +31,7 @@ from .evaluation import (
     is_applicable,
     load_corpus,
     load_rules,
+    read_input,
     score,
     timing_rows,
     timing_summary,
@@ -168,7 +169,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _read_graph(path: Path) -> AUG | None:
     """The graph in a DOT file, or None once the reason it is unreadable is printed."""
     try:
-        return parse_aug(Path(path).read_text(encoding="utf-8-sig"))
+        return parse_aug(read_input(path))
     except READ_ERRORS as exc:
         print(f"error: cannot read graph from {path}: {exc}", file=sys.stderr)
         return None

@@ -333,19 +333,18 @@ def _node_from_attrs(node_id: str, attrs: dict[str, str]) -> Node:
 
 
 def _check_declared(graph: _Digraph) -> None:
+    nodes = graph.nodes
     for source, target, _ in graph.edges:
-        for endpoint in (source, target):
-            if endpoint not in graph.nodes:
-                raise SchemaError(
-                    f"edge references undeclared node {endpoint!r}; implicitly "
-                    f"created nodes lack the required attributes"
-                )
+        if source not in nodes or target not in nodes:
+            endpoint = target if source in nodes else source
+            raise SchemaError(
+                f"edge references undeclared node {endpoint!r}; implicitly "
+                f"created nodes lack the required attributes"
+            )
 
 
-def _edge_label(source: str, target: str, attrs: dict[str, str]) -> str:
-    if "label" not in attrs:
-        raise SchemaError(f"edge {source!r} -> {target!r} is missing the 'label' attribute")
-    return attrs["label"]
+def _unlabeled(source: str, target: str) -> SchemaError:
+    return SchemaError(f"edge {source!r} -> {target!r} is missing the 'label' attribute")
 
 
 def parse_aug(dot_text: str) -> AUG:
@@ -361,11 +360,13 @@ def parse_aug(dot_text: str) -> AUG:
                 f"inside correction rules"
             )
         nodes.append(node)
-    edges = tuple(
-        _edge(source, target, _edge_label(source, target, attrs))
-        for source, target, attrs in graph.edges
-    )
-    return AUG(graph.name, tuple(nodes), edges)
+    edges = []
+    for source, target, attrs in graph.edges:
+        label = attrs.get("label")
+        if label is None:
+            raise _unlabeled(source, target)
+        edges.append(_edge(source, target, label))
+    return AUG(graph.name, tuple(nodes), tuple(edges))
 
 
 def parse_rule(dot_text: str) -> CorrectionRule:
@@ -396,7 +397,9 @@ def parse_rule(dot_text: str) -> CorrectionRule:
     member_edges: dict[str, list[Edge]] = {_PART_MISUSE: [], _PART_FIX: []}
     mapping: list[tuple[str | None, str | None]] = []
     for source, target, attrs in graph.edges:
-        label = _edge_label(source, target, attrs)
+        label = attrs.get("label")
+        if label is None:
+            raise _unlabeled(source, target)
         if label == _TRANSFORM:
             if parts[source] == parts[target]:
                 raise SchemaError(

@@ -15,8 +15,11 @@ instead of poisoning the means.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import logging
+import math
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -264,12 +267,32 @@ def timing_summary(rows: Iterable[TimingRow]) -> dict[str, tuple[float, float]]:
     for row in rows:
         by_algo.setdefault(row.algo, []).append(row.elapsed_seconds)
     return {
-        algo: (statistics.mean(values), statistics.median(values))
+        algo: (math.fsum(values) / len(values), statistics.median(values))
         for algo, values in sorted(by_algo.items())
     }
 
 
 # -- corpus loading ---------------------------------------------------------
+
+
+def read_input(path: Path) -> str:
+    """The text of an input file, as text mode reads it with the ``utf-8-sig`` codec.
+
+    That is strict UTF-8 past one leading byte order mark (which spreadsheet
+    tools save), with a decoding error's offsets counted from after the
+    mark, and CRLF and lone CR line breaks read as LF. Only a file cut off
+    inside the mark differs: it is no UTF-8, where the codec read it as
+    empty. Decoding the bytes directly loads no codec and wraps no text
+    stream.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_corpus(corpus_dir: Path) -> Dataset:
@@ -285,9 +308,8 @@ def load_corpus(corpus_dir: Path) -> Dataset:
     if not manifest.is_file():
         raise CorpusLayoutError(f"missing manifest {manifest}")
     try:
-        with manifest.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle)
-            columns, rows = reader.fieldnames, list(reader)
+        reader = csv.DictReader(io.StringIO(read_input(manifest)))
+        columns, rows = reader.fieldnames, list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CorpusLayoutError(f"cannot read {manifest}: {exc}") from exc
     if columns is None or sorted(columns) != ["label", "name"]:
@@ -304,7 +326,7 @@ def load_corpus(corpus_dir: Path) -> Dataset:
             )
         path = corpus_dir / f"{name}.dot"
         try:
-            graph = parse_aug(path.read_text(encoding="utf-8-sig"))
+            graph = parse_aug(read_input(path))
         except READ_ERRORS as exc:
             logger.warning("skipping corpus entry %r: %s", name, exc)
             continue
@@ -320,6 +342,10 @@ def load_corpus(corpus_dir: Path) -> Dataset:
 def load_rules(rules_dir: Path) -> list[CorrectionRule]:
     """Read every rule DOT file in a directory, sorted by file name.
 
+    The rule files are the entries whose names end in ``.dot``; one that
+    cannot be read, such as a subdirectory, is skipped with a warning. A
+    directory that cannot be listed raises ``CorpusLayoutError``.
+
     An unnamed rule, whose sides ``parse_rule`` names ``/misuse`` and
     ``/fix``, takes its file's stem as its name and as their prefix; a
     warning about a side with no nodes names the side that way too. Two
@@ -329,11 +355,15 @@ def load_rules(rules_dir: Path) -> list[CorrectionRule]:
     rules_dir = Path(rules_dir)
     if not rules_dir.is_dir():
         raise CorpusLayoutError(f"missing rules directory {rules_dir}")
+    try:
+        paths = sorted(path for path in rules_dir.iterdir() if path.name.endswith(".dot"))
+    except OSError as exc:
+        raise CorpusLayoutError(f"cannot list {rules_dir}: {exc}") from exc
     rules: list[CorrectionRule] = []
     files: dict[str, Path] = {}  # rule name -> the file that named it
-    for path in sorted(rules_dir.glob("*.dot")):
+    for path in paths:
         try:
-            rule = parse_rule(path.read_text(encoding="utf-8-sig"))
+            rule = parse_rule(read_input(path))
         except READ_ERRORS as exc:
             if isinstance(exc, EmptyGraphError) and exc.name.startswith("/"):
                 exc = EmptyGraphError(path.stem + exc.name)

@@ -37,6 +37,11 @@ def _mark(path: Path) -> None:
     path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
 
 
+def _end_lines_with(path: Path, ending: str) -> None:
+    """Rewrite ``path``'s LF line breaks as ``ending``."""
+    path.write_bytes(path.read_bytes().replace(b"\n", ending.encode("ascii")))
+
+
 def _one_class_graph(rng: random.Random, name: str) -> AUG:
     """16 nodes of one class joined by 16 random ``recv`` edges.
 
@@ -297,6 +302,23 @@ class TestCmdDist:
         assert outputs[0] == outputs[1]
         assert outputs[1].err == ""
 
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize(
+        "command, rest",
+        [("dist", [str(CORPUS / "m1.dot"), "-a", "hungarian-ged"]), ("features", [])],
+        ids=["dist", "features"],
+    )
+    def test_line_endings_are_read_as_lf(self, tmp_path, capsys, command, rest, ending):
+        ended = tmp_path / "ended.dot"
+        shutil.copy(CORPUS / "c1.dot", ended)
+        _end_lines_with(ended, ending)
+        outputs = []
+        for path in (CORPUS / "c1.dot", ended):
+            assert main([command, str(path), *rest]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[1].err == ""
+
     def test_evaluate_only_flags_rejected(self, tmp_path, capsys):
         a = _write(tmp_path, "a.dot", SINGLE)
         for flag in (["--workers", "2"], ["--no-exclude-self"]):
@@ -507,6 +529,21 @@ class TestCmdEvaluate:
         corpus = tmp_path / "corpus"
         shutil.copytree(CORPUS, corpus)
         _mark(corpus / marked)
+        (tmp_path / "plain").mkdir()
+        plain = self._run(tmp_path / "plain", "hungarian-ged")
+        plain_count = capsys.readouterr().out.splitlines()[-1]
+        out = self._run(tmp_path, "hungarian-ged", corpus=corpus)
+        assert capsys.readouterr().out.splitlines()[-1] == plain_count == "applicable: 1/2"
+        assert "skipping" not in caplog.text
+        for report in ("applicability.csv", "detection.csv"):
+            assert (out / report).read_bytes() == (plain / report).read_bytes()
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_give_the_plain_reports(self, tmp_path, capsys, caplog, ending):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS, corpus)
+        for name in ("labels.csv", "c1.dot", "rules/rule_iter.dot"):
+            _end_lines_with(corpus / name, ending)
         (tmp_path / "plain").mkdir()
         plain = self._run(tmp_path / "plain", "hungarian-ged")
         plain_count = capsys.readouterr().out.splitlines()[-1]

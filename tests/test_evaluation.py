@@ -1,6 +1,16 @@
+import codecs
+import errno
+import math
+import os
+import shutil
+import statistics
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from augdist import (
     AUG,
@@ -14,11 +24,13 @@ from augdist import (
     is_applicable,
     load_corpus,
     load_rules,
+    parse_aug,
     score,
     timing_rows,
     timing_summary,
 )
 from augdist.cli import RunConfig, build_distance
+from augdist.evaluation import TimingRow, read_input
 from augdist.ged import default_cost_model
 from helpers import aug, rule
 from oracles import brute_force_node_ged
@@ -51,6 +63,7 @@ MISUSE = aug(
     [("l", "it", "recv"), ("it", "i", "def"), ("i", "nx", "recv")],
 )
 RULE = rule("iter_rule", MISUSE, FIX, [(None, "hn")])
+CORPUS = Path(__file__).parent / "data" / "corpus"
 
 
 def _renamed(graph: AUG, name: str) -> AUG:
@@ -140,6 +153,70 @@ class TestLoadRules:
         assert load_rules(tmp_path) == []
         (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warning == f"skipping rule file x.dot: graph 'x/{empty_side}' has no nodes"
+
+    def test_only_names_ending_in_dot_are_rule_files(self, tmp_path, caplog):
+        rules_dir = tmp_path / "rules"
+        shutil.copytree(CORPUS / "rules", rules_dir)
+        rule_text = (rules_dir / "rule_iter.dot").read_text(encoding="utf-8")
+        for name in ("README", "r.dot.orig", "notes.txt"):
+            (rules_dir / name).write_text(rule_text.replace("rule_iter", name), encoding="utf-8")
+        (rules_dir / "old.dot").mkdir()
+        assert load_rules(rules_dir) == load_rules(CORPUS / "rules")
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        directory = str(rules_dir / "old.dot")
+        unreadable = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), directory)
+        assert warnings == [f"skipping rule file old.dot: {unreadable}"]
+
+    def test_directory_that_cannot_be_listed_rejected(self, tmp_path, monkeypatch):
+        def refused(self):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "iterdir", refused)
+        with pytest.raises(CorpusLayoutError, match=f"cannot list {tmp_path}: .*Permission denied"):
+            load_rules(tmp_path)
+
+
+# Pieces of input files: text, line breaks, the byte order mark, its cut-off
+# prefixes and bytes that are no UTF-8.
+_INPUT_PIECES = (
+    b"a", b"\n", b"\r", b"\r\n", codecs.BOM_UTF8, b"\xef", b"\xef\xbb", b"\xff",
+    "é".encode(), "\u2028".encode(),
+)
+
+
+class TestReadInput:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(_INPUT_PIECES), max_size=8).map(b"".join))
+    def test_reads_what_text_mode_reads(self, tmp_path, data):
+        # The utf-8-sig codec reads a file that is a cut-off mark as empty
+        # text; it is no UTF-8, which read_input refuses.
+        assume(not (data and codecs.BOM_UTF8.startswith(data) and data != codecs.BOM_UTF8))
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        try:
+            expected = path.read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            with pytest.raises(UnicodeDecodeError) as caught:
+                read_input(path)
+            assert str(caught.value) == str(exc)
+        else:
+            assert read_input(path) == expected
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    def test_cut_off_mark_is_no_utf_8(self, tmp_path, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError):
+            read_input(path)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_quoted_label_split_by_a_line_break_reads_as_lf(self, tmp_path, ending):
+        text = 'digraph "g" {\n  n [label="A.m(\n)", type="action", api="p.A"];\n}\n'
+        path = tmp_path / "g.dot"
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        graph = parse_aug(read_input(path))
+        assert graph == parse_aug(text)
+        assert graph.nodes[0].label == "A.m(\n)"
 
 
 def _write_entry(directory, name, graph_name=None):
@@ -568,6 +645,21 @@ class TestBenchmark:
         rows = _timing_rows(dataset, tailed, "tailed")
         mean, median = timing_summary(rows)["tailed"]
         assert mean > median
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=sys.float_info.max / 64, allow_infinity=False),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_mean_within_two_ulp_of_the_exact_mean(self, seconds):
+        rows = [TimingRow("algo", "rule", value) for value in seconds]
+        mean, median = timing_summary(rows)["algo"]
+        exact = statistics.mean(seconds)
+        assert abs(mean - exact) <= 2 * math.ulp(exact)
+        assert median == statistics.median(seconds)
 
     def test_row_shape(self):
         dataset = Dataset((FIX,), (MISUSE,))

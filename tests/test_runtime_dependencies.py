@@ -6,11 +6,15 @@ module of the package.
 The imports are checked statically, from each module's syntax tree, so no
 module is imported. What is loaded is checked in fresh interpreters: importing
 ``augdist`` or ``augdist.cli`` loads neither numpy nor scipy, and neither does
-an ``evaluate`` of the bundled corpus with any algorithm but node-sim.
+an ``evaluate`` of the bundled corpus with any algorithm but node-sim; nor
+does an ``evaluate`` load the ``utf-8-sig`` codec to read files that start
+with a byte order mark.
 """
 
 import ast
+import codecs
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -106,10 +110,10 @@ def test_only_node_similarity_imports_numpy_or_scipy():
     assert importers == {"node_similarity.py"}
 
 
-def _numeric_modules_loaded_after(code: str) -> list[str]:
-    """Which of numpy and scipy a fresh interpreter has loaded after ``code``."""
+def _modules_loaded_after(code: str, modules: set[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
-    report = f"print(sorted(sys.modules.keys() & {NUMERIC!r}), file=sys.stderr)"
+    report = f"print(sorted(sys.modules.keys() & {modules!r}), file=sys.stderr)"
     probe = subprocess.run(
         [sys.executable, "-c", f"import sys\n{code}\n{report}"],
         env={**os.environ, "PYTHONPATH": path},
@@ -119,6 +123,11 @@ def _numeric_modules_loaded_after(code: str) -> list[str]:
         timeout=120,
     )
     return ast.literal_eval(probe.stderr.strip().splitlines()[-1])
+
+
+def _numeric_modules_loaded_after(code: str) -> list[str]:
+    """Which of numpy and scipy a fresh interpreter has loaded after ``code``."""
+    return _modules_loaded_after(code, NUMERIC)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -138,3 +147,15 @@ def test_evaluate_without_node_sim_leaves_numpy_unloaded(tmp_path):
     code = f"from augdist.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0, argv"
     assert _numeric_modules_loaded_after(code) == []
     assert all((tmp_path / algorithm / "applicability.csv").is_file() for algorithm in algorithms)
+
+
+def test_evaluate_of_marked_files_leaves_the_bom_codec_unloaded(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    for name in ("c1.dot", "labels.csv"):
+        path = corpus / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    argv = ["evaluate", str(corpus / "rules"), str(corpus), "-a", "hungarian-ged", "-o", str(tmp_path / "out")]
+    code = f"from augdist.cli import main\nassert main({argv!r}) == 0"
+    assert _modules_loaded_after(code, {"encodings.utf_8_sig"}) == []
+    assert (tmp_path / "out" / "applicability.csv").is_file()

@@ -4,11 +4,11 @@
     python3 tools/parse_probe.py CORPUS_DIR --repeats 15
 
 Reads every ``*.dot`` file under CORPUS_DIR, rule files (those in a
-``rules`` directory) included, as UTF-8 without a byte order mark, as
-``augdist`` does. Prints the file count, how many files the statement reader
-reads and how many it hands to the token walk, which is about three times
-slower (naming the first few), and the parse time per file: the median of
-the repeats, each parsing every file with the parser's caches cleared.
+``rules`` directory) included, with ``augdist``'s own input reader. Prints
+the file count, how many files the statement reader reads and how many it
+hands to the token walk, which is about three times slower (naming the
+first few), and the parse time per file: the median of the repeats, each
+parsing every file with the parser's caches cleared.
 Files that fail to parse are counted and timed too.
 """
 
@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from augdist import dot  # noqa: E402
-from augdist.evaluation import READ_ERRORS  # noqa: E402
+from augdist.evaluation import READ_ERRORS, read_input  # noqa: E402
 
 _SHOWN = 5
 
@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> None:
     paths = sorted(args.corpus.rglob("*.dot"))
     if not paths:
         parser.error(f"no *.dot files under {args.corpus}")
-    texts = [(path, path.read_text(encoding="utf-8-sig")) for path in paths]
+    texts = [(path, read_input(path)) for path in paths]
     walked = [path for path, text in texts if dot._read_statements(text) is None]
     caches = [f for f in vars(dot).values() if hasattr(f, "cache_clear")]
     seconds = []
